@@ -1,6 +1,7 @@
 // Measurement definitions (what the CLI submits to the Orchestrator).
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "net/address.hpp"
@@ -19,6 +20,9 @@ enum class ProbeMode : std::uint8_t {
   /// (every worker sees only its own responses, with precise RTTs).
   kUnicast,
 };
+
+inline constexpr std::array<ProbeMode, 2> kAllProbeModes = {
+    ProbeMode::kAnycast, ProbeMode::kUnicast};
 
 /// A complete measurement definition.
 ///
@@ -48,6 +52,8 @@ struct MeasurementSpec {
   /// When it fires, the Orchestrator aborts stragglers and completes the
   /// measurement with whatever results arrived (status kDegraded).
   SimDuration deadline = SimDuration::seconds(0);
+
+  bool operator==(const MeasurementSpec&) const = default;
 };
 
 }  // namespace laces::core

@@ -1,266 +1,13 @@
 #include "core/messages.hpp"
 
-#include "util/bytes.hpp"
-
 namespace laces::core {
-namespace {
-
-enum class Tag : std::uint8_t {
-  kWorkerHello = 1,
-  kHelloAck,
-  kStartMeasurement,
-  kSubmitMeasurement,
-  kTargetChunk,
-  kEndOfTargets,
-  kResultBatch,
-  kWorkerDone,
-  kMeasurementComplete,
-  kAbort,
-  kHeartbeat,
-  kChunkAck,
-};
-
-void put_address(ByteWriter& w, const net::IpAddress& a) {
-  if (a.is_v4()) {
-    w.u8(4);
-    w.u32(a.v4().value());
-  } else {
-    w.u8(6);
-    w.u64(a.v6().hi());
-    w.u64(a.v6().lo());
-  }
-}
-
-net::IpAddress get_address(ByteReader& r) {
-  const std::uint8_t version = r.u8();
-  if (version == 4) return net::Ipv4Address(r.u32());
-  if (version == 6) {
-    const std::uint64_t hi = r.u64();
-    const std::uint64_t lo = r.u64();
-    return net::Ipv6Address(hi, lo);
-  }
-  throw DecodeError("bad address family");
-}
-
-void put_spec(ByteWriter& w, const MeasurementSpec& s) {
-  w.u32(s.id);
-  w.u8(static_cast<std::uint8_t>(s.protocol));
-  w.u8(static_cast<std::uint8_t>(s.version));
-  w.u8(static_cast<std::uint8_t>(s.mode));
-  w.i64(s.worker_offset.ns());
-  w.f64(s.targets_per_second);
-  w.u8(s.vary_payload ? 1 : 0);
-  w.u8(s.chaos ? 1 : 0);
-  w.u16(s.max_participants);
-  w.i64(s.deadline.ns());
-}
-
-MeasurementSpec get_spec(ByteReader& r) {
-  MeasurementSpec s;
-  s.id = r.u32();
-  s.protocol = static_cast<net::Protocol>(r.u8());
-  s.version = static_cast<net::IpVersion>(r.u8());
-  s.mode = static_cast<ProbeMode>(r.u8());
-  s.worker_offset = SimDuration(r.i64());
-  s.targets_per_second = r.f64();
-  s.vary_payload = r.u8() != 0;
-  s.chaos = r.u8() != 0;
-  s.max_participants = r.u16();
-  s.deadline = SimDuration(r.i64());
-  return s;
-}
-
-void put_record(ByteWriter& w, const ProbeRecord& rec) {
-  put_address(w, rec.target);
-  w.u8(static_cast<std::uint8_t>(rec.protocol));
-  w.u16(rec.rx_worker);
-  w.u8(rec.tx_worker ? 1 : 0);
-  if (rec.tx_worker) w.u16(*rec.tx_worker);
-  w.i64(rec.rx_time.ns());
-  w.u8(rec.rtt ? 1 : 0);
-  if (rec.rtt) w.i64(rec.rtt->ns());
-  w.u8(rec.txt ? 1 : 0);
-  if (rec.txt) w.str(*rec.txt);
-}
-
-ProbeRecord get_record(ByteReader& r) {
-  ProbeRecord rec;
-  rec.target = get_address(r);
-  rec.protocol = static_cast<net::Protocol>(r.u8());
-  rec.rx_worker = r.u16();
-  if (r.u8()) rec.tx_worker = r.u16();
-  rec.rx_time = SimTime(r.i64());
-  if (r.u8()) rec.rtt = SimDuration(r.i64());
-  if (r.u8()) rec.txt = r.str();
-  return rec;
-}
-
-}  // namespace
 
 std::vector<std::uint8_t> encode_message(const Message& msg) {
-  ByteWriter w;
-  std::visit(
-      [&w](const auto& m) {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, WorkerHello>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kWorkerHello));
-          w.str(m.worker_name);
-        } else if constexpr (std::is_same_v<T, HelloAck>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kHelloAck));
-          w.u16(m.worker_id);
-        } else if constexpr (std::is_same_v<T, StartMeasurement>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kStartMeasurement));
-          put_spec(w, m.spec);
-          w.u16(m.participant_index);
-          w.u16(m.participant_count);
-          put_address(w, m.anycast_source);
-          w.i64(m.start_time.ns());
-          w.u64(m.resume_from);
-        } else if constexpr (std::is_same_v<T, SubmitMeasurement>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kSubmitMeasurement));
-          put_spec(w, m.spec);
-        } else if constexpr (std::is_same_v<T, TargetChunk>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kTargetChunk));
-          w.u32(m.measurement);
-          w.u64(m.base_index);
-          w.u32(static_cast<std::uint32_t>(m.targets.size()));
-          for (const auto& t : m.targets) put_address(w, t);
-          w.u64(m.seq);
-        } else if constexpr (std::is_same_v<T, EndOfTargets>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kEndOfTargets));
-          w.u32(m.measurement);
-          w.u64(m.seq);
-        } else if constexpr (std::is_same_v<T, ResultBatch>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kResultBatch));
-          w.u32(m.measurement);
-          w.u16(m.worker);
-          w.u32(static_cast<std::uint32_t>(m.records.size()));
-          for (const auto& rec : m.records) put_record(w, rec);
-          w.u64(m.probes_sent);
-          w.u64(m.batch_seq);
-        } else if constexpr (std::is_same_v<T, WorkerDone>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kWorkerDone));
-          w.u32(m.measurement);
-          w.u16(m.worker);
-        } else if constexpr (std::is_same_v<T, MeasurementComplete>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kMeasurementComplete));
-          w.u32(m.measurement);
-          w.u16(m.workers_participated);
-          w.u16(m.workers_lost);
-          w.u8(m.status);
-        } else if constexpr (std::is_same_v<T, Abort>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kAbort));
-          w.u32(m.measurement);
-        } else if constexpr (std::is_same_v<T, Heartbeat>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kHeartbeat));
-          w.u32(m.measurement);
-          w.u16(m.worker);
-        } else if constexpr (std::is_same_v<T, ChunkAck>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kChunkAck));
-          w.u32(m.measurement);
-          w.u16(m.worker);
-          w.u64(m.next_seq);
-        }
-      },
-      msg);
-  return w.take();
+  return codec::encode(msg);
 }
 
 Message decode_message(std::span<const std::uint8_t> bytes) {
-  ByteReader r(bytes);
-  const Tag tag = static_cast<Tag>(r.u8());
-  switch (tag) {
-    case Tag::kWorkerHello: {
-      WorkerHello m;
-      m.worker_name = r.str();
-      return m;
-    }
-    case Tag::kHelloAck: {
-      HelloAck m;
-      m.worker_id = r.u16();
-      return m;
-    }
-    case Tag::kStartMeasurement: {
-      StartMeasurement m;
-      m.spec = get_spec(r);
-      m.participant_index = r.u16();
-      m.participant_count = r.u16();
-      m.anycast_source = get_address(r);
-      m.start_time = SimTime(r.i64());
-      m.resume_from = r.u64();
-      return m;
-    }
-    case Tag::kSubmitMeasurement: {
-      SubmitMeasurement m;
-      m.spec = get_spec(r);
-      return m;
-    }
-    case Tag::kTargetChunk: {
-      TargetChunk m;
-      m.measurement = r.u32();
-      m.base_index = r.u64();
-      const std::uint32_t n = r.u32();
-      // Every address needs >= 5 encoded bytes: an inflated count field
-      // must fail before any allocation (length-field DoS guard).
-      if (n > r.remaining() / 5) throw DecodeError("target count too large");
-      m.targets.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) m.targets.push_back(get_address(r));
-      m.seq = r.u64();
-      return m;
-    }
-    case Tag::kEndOfTargets: {
-      EndOfTargets m;
-      m.measurement = r.u32();
-      m.seq = r.u64();
-      return m;
-    }
-    case Tag::kResultBatch: {
-      ResultBatch m;
-      m.measurement = r.u32();
-      m.worker = r.u16();
-      const std::uint32_t n = r.u32();
-      // Each record needs >= 17 encoded bytes (see put_record).
-      if (n > r.remaining() / 17) throw DecodeError("record count too large");
-      m.records.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) m.records.push_back(get_record(r));
-      m.probes_sent = r.u64();
-      m.batch_seq = r.u64();
-      return m;
-    }
-    case Tag::kWorkerDone: {
-      WorkerDone m;
-      m.measurement = r.u32();
-      m.worker = r.u16();
-      return m;
-    }
-    case Tag::kMeasurementComplete: {
-      MeasurementComplete m;
-      m.measurement = r.u32();
-      m.workers_participated = r.u16();
-      m.workers_lost = r.u16();
-      m.status = r.u8();
-      return m;
-    }
-    case Tag::kAbort: {
-      Abort m;
-      m.measurement = r.u32();
-      return m;
-    }
-    case Tag::kHeartbeat: {
-      Heartbeat m;
-      m.measurement = r.u32();
-      m.worker = r.u16();
-      return m;
-    }
-    case Tag::kChunkAck: {
-      ChunkAck m;
-      m.measurement = r.u32();
-      m.worker = r.u16();
-      m.next_seq = r.u64();
-      return m;
-    }
-  }
-  throw DecodeError("unknown message tag");
+  return codec::decode<Message>(bytes, "message");
 }
 
 }  // namespace laces::core

@@ -1,6 +1,7 @@
 // Probe results: what workers stream back and the CLI aggregates.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -28,6 +29,8 @@ struct ProbeRecord {
   std::optional<SimDuration> rtt;
   /// CHAOS TXT site identity, when the probe asked for one.
   std::optional<std::string> txt;
+
+  bool operator==(const ProbeRecord&) const = default;
 };
 
 /// How a measurement ended (paper R5: failure is an outcome, not a hang).
@@ -40,6 +43,9 @@ enum class RunStatus : std::uint8_t {
   /// results are valid yet partial.
   kDegraded = 2,
 };
+
+inline constexpr std::array<RunStatus, 3> kAllRunStatuses = {
+    RunStatus::kAborted, RunStatus::kCompleted, RunStatus::kDegraded};
 
 inline std::string_view to_string(RunStatus status) {
   switch (status) {

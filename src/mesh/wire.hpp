@@ -1,9 +1,9 @@
 // Mesh wire messages: the relay-to-relay plane carried in FrameKind::kMesh
 // frames (protocol version >= kMeshProtocolVersion).
 //
-// A mesh payload is a one-byte tag followed by a tagged body, encoded with
-// the same big-endian/varint conventions as the serve request/response
-// codecs. Three message families share the plane:
+// A mesh payload is a one-byte tag (variant index + 1) followed by the
+// message's fields() — the same codec (net/codec.hpp) as the serve
+// request/response bodies. Three message families share the plane:
 //
 //   handshake   Hello / Welcome / Reject — peer identity, version range
 //               negotiation and feed advertisement. Handshake frames are
@@ -26,23 +26,19 @@
 #include <variant>
 #include <vector>
 
+#include "net/codec.hpp"
 #include "serve/protocol.hpp"
 #include "store/delta.hpp"
 
-namespace laces::mesh {
+// The delta row a DeltaChunk carries, declared in its type's namespace so
+// the codec finds it by argument lookup.
+namespace laces::store {
+void fields(auto& io, codec::Is<DeltaRow> auto& row) {
+  io(row.prefix, row.line);
+}
+}  // namespace laces::store
 
-/// Message tags. Stable wire bytes; append only.
-enum class MeshTag : std::uint8_t {
-  kHello = 1,
-  kWelcome = 2,
-  kReject = 3,
-  kForward = 4,
-  kForwardReply = 5,
-  kSubscribe = 6,
-  kSubAck = 7,
-  kDelta = 8,
-  kDeltaAck = 9,
-};
+namespace laces::mesh {
 
 /// Connection opener: who I am and what I can speak.
 struct Hello {
@@ -54,6 +50,9 @@ struct Hello {
   bool has_feed = false;
   bool operator==(const Hello&) const = default;
 };
+void fields(auto& io, codec::Is<Hello> auto& m) {
+  io(m.node_id, m.name, m.version_min, m.version_max, m.has_feed);
+}
 
 /// Handshake accept: the responder's identity and the negotiated version
 /// (min of the two maxima; must cover both minima and the mesh floor).
@@ -64,6 +63,9 @@ struct Welcome {
   bool has_feed = false;
   bool operator==(const Welcome&) const = default;
 };
+void fields(auto& io, codec::Is<Welcome> auto& m) {
+  io(m.node_id, m.name, m.version, m.has_feed);
+}
 
 /// Typed handshake refusal (version mismatch, policy).
 struct Reject {
@@ -71,6 +73,9 @@ struct Reject {
   std::string message;
   bool operator==(const Reject&) const = default;
 };
+void fields(auto& io, codec::Is<Reject> auto& m) {
+  io(codec::one_of(m.code, serve::kAllErrorCodes), m.message);
+}
 
 /// A serve request flooded into the mesh on behalf of a client. `request`
 /// is the canonical request body (the response-cache key), so any relay
@@ -82,6 +87,9 @@ struct Forward {
   std::vector<std::uint8_t> request;
   bool operator==(const Forward&) const = default;
 };
+void fields(auto& io, codec::Is<Forward> auto& m) {
+  io(m.forward_id, m.origin_node, m.hops_left, m.request);
+}
 
 /// The canonical response body, routed back along the forward path.
 struct ForwardReply {
@@ -89,6 +97,9 @@ struct ForwardReply {
   std::vector<std::uint8_t> response;
   bool operator==(const ForwardReply&) const = default;
 };
+void fields(auto& io, codec::Is<ForwardReply> auto& m) {
+  io(m.forward_id, m.response);
+}
 
 /// Resumable feed position: the last fully applied (day, seq).
 struct Cursor {
@@ -96,6 +107,7 @@ struct Cursor {
   std::uint32_t seq = 0;
   friend auto operator<=>(const Cursor&, const Cursor&) = default;
 };
+void fields(auto& io, codec::Is<Cursor> auto& c) { io(c.day, c.seq); }
 
 /// Feed registration. With `resume` set, `cursor` is the subscriber's
 /// resume point — the publisher replays everything strictly after it, so
@@ -111,6 +123,10 @@ struct Subscribe {
   Cursor cursor;
   bool operator==(const Subscribe&) const = default;
 };
+void fields(auto& io, codec::Is<Subscribe> auto& m) {
+  io(m.subscription_id, codec::one_of(m.family, serve::kSubscriptionFamilies),
+     m.priority, m.prefixes, m.resume, m.cursor);
+}
 
 struct SubAck {
   std::uint64_t subscription_id = 0;
@@ -118,6 +134,9 @@ struct SubAck {
   std::string message;
   bool operator==(const SubAck&) const = default;
 };
+void fields(auto& io, codec::Is<SubAck> auto& m) {
+  io(m.subscription_id, m.ok, m.message);
+}
 
 /// One slice of a day's delta. Every chunk repeats the day header (a
 /// subscriber may join mid-day); `last` marks the day's final chunk —
@@ -133,6 +152,10 @@ struct DeltaChunk {
   std::vector<net::Prefix> removals;
   bool operator==(const DeltaChunk&) const = default;
 };
+void fields(auto& io, codec::Is<DeltaChunk> auto& m) {
+  io(m.day, m.seq, m.last, m.degraded, m.lost_sites, m.canary_alarms,
+     m.upserts, m.removals);
+}
 
 /// Cursor advance: the subscriber has durably applied (day, seq).
 struct DeltaAck {
@@ -140,13 +163,16 @@ struct DeltaAck {
   Cursor cursor;
   bool operator==(const DeltaAck&) const = default;
 };
+void fields(auto& io, codec::Is<DeltaAck> auto& m) {
+  io(m.subscription_id, m.cursor);
+}
 
 using MeshMessage =
     std::variant<Hello, Welcome, Reject, Forward, ForwardReply, Subscribe,
                  SubAck, DeltaChunk, DeltaAck>;
 
-/// Tagged-body codec. decode_mesh throws serve::ProtocolError on an
-/// unknown tag, malformed body, or trailing bytes.
+/// Tagged-body codec. decode_mesh throws serve::ProtocolError on any
+/// rejection (net/codec.hpp).
 std::vector<std::uint8_t> encode_mesh(const MeshMessage& message);
 MeshMessage decode_mesh(std::span<const std::uint8_t> bytes);
 
@@ -169,7 +195,5 @@ bool prefix_covers(const net::Prefix& filter, const net::Prefix& p);
 /// still delivered so the subscriber's cursor stays continuous.
 DeltaChunk filter_chunk(const DeltaChunk& chunk, std::uint8_t family,
                         const std::vector<net::Prefix>& prefixes);
-
-std::string_view to_string(MeshTag tag);
 
 }  // namespace laces::mesh

@@ -17,6 +17,9 @@ namespace laces::net {
 
 enum class IpVersion : std::uint8_t { kV4 = 4, kV6 = 6 };
 
+inline constexpr std::array<IpVersion, 2> kAllIpVersions = {IpVersion::kV4,
+                                                            IpVersion::kV6};
+
 std::string_view to_string(IpVersion v);
 
 /// IPv4 address as host-order 32-bit value.

@@ -117,7 +117,8 @@ Registry& Registry::global() {
 }
 
 Registry::Entry& Registry::entry_for(std::string_view name, Labels&& labels,
-                                     MetricKind kind) {
+                                     MetricKind kind,
+                                     std::vector<double> bounds) {
   Labels sorted = sorted_labels(std::move(labels));
   const std::string key = make_key(name, sorted);
   std::lock_guard lock(mutex_);
@@ -131,28 +132,37 @@ Registry::Entry& Registry::entry_for(std::string_view name, Labels&& labels,
   entry->name = std::string(name);
   entry->labels = std::move(sorted);
   entry->kind = kind;
+  // Created under the lock, so racing first registrations share one
+  // instrument instead of replacing each other's.
+  switch (kind) {
+    case MetricKind::kCounter:
+      entry->counter.reset(new Counter());
+      break;
+    case MetricKind::kGauge:
+      entry->gauge.reset(new Gauge());
+      break;
+    case MetricKind::kHistogram:
+      entry->histogram.reset(new Histogram(std::move(bounds)));
+      break;
+  }
   index_.emplace(key, entries_.size());
   entries_.push_back(std::move(entry));
   return *entries_.back();
 }
 
 Counter& Registry::counter(std::string_view name, Labels labels) {
-  Entry& entry = entry_for(name, std::move(labels), MetricKind::kCounter);
-  if (!entry.counter) entry.counter.reset(new Counter());
-  return *entry.counter;
+  return *entry_for(name, std::move(labels), MetricKind::kCounter).counter;
 }
 
 Gauge& Registry::gauge(std::string_view name, Labels labels) {
-  Entry& entry = entry_for(name, std::move(labels), MetricKind::kGauge);
-  if (!entry.gauge) entry.gauge.reset(new Gauge());
-  return *entry.gauge;
+  return *entry_for(name, std::move(labels), MetricKind::kGauge).gauge;
 }
 
 Histogram& Registry::histogram(std::string_view name, std::vector<double> bounds,
                                Labels labels) {
-  Entry& entry = entry_for(name, std::move(labels), MetricKind::kHistogram);
-  if (!entry.histogram) entry.histogram.reset(new Histogram(std::move(bounds)));
-  return *entry.histogram;
+  return *entry_for(name, std::move(labels), MetricKind::kHistogram,
+                    std::move(bounds))
+              .histogram;
 }
 
 MetricsSnapshot Registry::snapshot() const {

@@ -183,7 +183,10 @@ class Registry {
     std::unique_ptr<Histogram> histogram;
   };
 
-  Entry& entry_for(std::string_view name, Labels&& labels, MetricKind kind);
+  /// The entry for (name, labels), created with its instrument on first
+  /// use; `bounds` are a new histogram's bucket bounds.
+  Entry& entry_for(std::string_view name, Labels&& labels, MetricKind kind,
+                   std::vector<double> bounds = {});
 
   mutable std::mutex mutex_;
   std::unordered_map<std::string, std::size_t> index_;  // key -> entries_ slot

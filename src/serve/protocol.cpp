@@ -5,343 +5,6 @@
 #include "util/sha256.hpp"
 
 namespace laces::serve {
-namespace {
-
-enum class RequestTag : std::uint8_t {
-  kSummary = 1,
-  kStability = 2,
-  kHistory = 3,
-  kIntermittent = 4,
-  kExportDay = 5,
-  kStats = 6,
-  kLatency = 7,
-  kTraceTail = 8,
-  kFlightRecTail = 9,
-  kMeshStats = 10,
-};
-
-enum class ResponseTag : std::uint8_t {
-  kError = 1,
-  kSummary = 2,
-  kStability = 3,
-  kHistory = 4,
-  kIntermittent = 5,
-  kExportDay = 6,
-  kStats = 7,
-  kLatency = 8,
-  kTraceTail = 9,
-  kFlightRecTail = 10,
-  kMeshStats = 11,
-};
-
-void put_prefix(ByteWriter& w, const net::Prefix& prefix) {
-  if (prefix.version() == net::IpVersion::kV4) {
-    w.u8(4);
-    w.u32(prefix.v4().address().value());
-    w.u8(prefix.v4().length());
-  } else {
-    w.u8(6);
-    w.u64(prefix.v6().address().hi());
-    w.u64(prefix.v6().address().lo());
-    w.u8(prefix.v6().length());
-  }
-}
-
-net::Prefix get_prefix(ByteReader& r) {
-  const std::uint8_t version = r.u8();
-  if (version == 4) {
-    const auto addr = net::Ipv4Address(r.u32());
-    return net::Ipv4Prefix(addr, r.u8());
-  }
-  if (version == 6) {
-    const auto hi = r.u64();
-    const auto lo = r.u64();
-    return net::Ipv6Prefix(net::Ipv6Address(hi, lo), r.u8());
-  }
-  throw ProtocolError("prefix: bad IP version byte " + std::to_string(version));
-}
-
-void put_prefix_list(ByteWriter& w, const std::vector<net::Prefix>& prefixes) {
-  w.varint(prefixes.size());
-  for (const auto& p : prefixes) put_prefix(w, p);
-}
-
-std::vector<net::Prefix> get_prefix_list(ByteReader& r) {
-  const std::uint64_t n = r.varint();
-  std::vector<net::Prefix> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) out.push_back(get_prefix(r));
-  return out;
-}
-
-void put_stats(ByteWriter& w, const census::StabilityStats& s) {
-  w.varint(s.days);
-  w.varint(s.degraded_days);
-  w.varint(s.union_size);
-  w.varint(s.every_day);
-  w.f64(s.daily_mean);
-}
-
-census::StabilityStats get_stats(ByteReader& r) {
-  census::StabilityStats s;
-  s.days = static_cast<std::size_t>(r.varint());
-  s.degraded_days = static_cast<std::size_t>(r.varint());
-  s.union_size = static_cast<std::size_t>(r.varint());
-  s.every_day = static_cast<std::size_t>(r.varint());
-  s.daily_mean = r.f64();
-  return s;
-}
-
-void put_history_day(ByteWriter& w, const store::HistoryDay& h) {
-  w.u32(h.day);
-  std::uint8_t flags = 0;
-  if (h.degraded) flags |= 1;
-  if (h.published) flags |= 2;
-  if (h.anycast_based) flags |= 4;
-  if (h.gcd_confirmed) flags |= 8;
-  w.u8(flags);
-  w.varint(h.max_vp_count);
-  w.varint(h.gcd_sites);
-}
-
-store::HistoryDay get_history_day(ByteReader& r) {
-  store::HistoryDay h;
-  h.day = r.u32();
-  const std::uint8_t flags = r.u8();
-  if (flags > 15) {
-    throw ProtocolError("history day: unknown flag bits " +
-                        std::to_string(flags));
-  }
-  h.degraded = flags & 1;
-  h.published = flags & 2;
-  h.anycast_based = flags & 4;
-  h.gcd_confirmed = flags & 8;
-  h.max_vp_count = static_cast<std::uint32_t>(r.varint());
-  h.gcd_sites = static_cast<std::uint32_t>(r.varint());
-  return h;
-}
-
-void put_serve_stats(ByteWriter& w, const ServeStats& s) {
-  w.varint(s.requests_executed);
-  w.varint(s.requests_shed);
-  w.varint(s.auth_failures);
-  w.varint(s.response_cache_hits);
-  w.varint(s.response_cache_misses);
-  w.varint(s.response_cache_evictions);
-  w.varint(s.response_cache_entries);
-  w.varint(s.negative_cache_hits);
-  w.varint(s.negative_cache_entries);
-  w.varint(s.segment_cache_hits);
-  w.varint(s.segment_cache_misses);
-  w.varint(s.flightrec_recorded);
-  w.varint(s.flightrec_overwritten);
-  w.u32(s.workers);
-  w.u32(s.queue_depth);
-  w.u32(s.queue_capacity);
-  w.u32(s.active_spans);
-  w.u8(s.draining ? 1 : 0);
-}
-
-ServeStats get_serve_stats(ByteReader& r) {
-  ServeStats s;
-  s.requests_executed = r.varint();
-  s.requests_shed = r.varint();
-  s.auth_failures = r.varint();
-  s.response_cache_hits = r.varint();
-  s.response_cache_misses = r.varint();
-  s.response_cache_evictions = r.varint();
-  s.response_cache_entries = r.varint();
-  s.negative_cache_hits = r.varint();
-  s.negative_cache_entries = r.varint();
-  s.segment_cache_hits = r.varint();
-  s.segment_cache_misses = r.varint();
-  s.flightrec_recorded = r.varint();
-  s.flightrec_overwritten = r.varint();
-  s.workers = r.u32();
-  s.queue_depth = r.u32();
-  s.queue_capacity = r.u32();
-  s.active_spans = r.u32();
-  const std::uint8_t draining = r.u8();
-  if (draining > 1) {
-    throw ProtocolError("stats: bad draining flag " +
-                        std::to_string(draining));
-  }
-  s.draining = draining != 0;
-  return s;
-}
-
-void put_stage(ByteWriter& w, const StageLatency& s) {
-  w.str(s.stage);
-  w.varint(s.count);
-  w.f64(s.p50_us);
-  w.f64(s.p99_us);
-  w.f64(s.p999_us);
-  w.f64(s.max_us);
-}
-
-StageLatency get_stage(ByteReader& r) {
-  StageLatency s;
-  s.stage = r.str();
-  s.count = r.varint();
-  s.p50_us = r.f64();
-  s.p99_us = r.f64();
-  s.p999_us = r.f64();
-  s.max_us = r.f64();
-  return s;
-}
-
-void put_span(ByteWriter& w, const SpanInfo& s) {
-  w.varint(s.id);
-  w.varint(s.parent);
-  w.str(s.name);
-  w.i64(s.start_ns);
-  w.i64(s.end_ns);
-}
-
-SpanInfo get_span(ByteReader& r) {
-  SpanInfo s;
-  s.id = r.varint();
-  s.parent = r.varint();
-  s.name = r.str();
-  s.start_ns = r.i64();
-  s.end_ns = r.i64();
-  return s;
-}
-
-void put_mesh_peer(ByteWriter& w, const MeshPeerInfo& p) {
-  w.u64(p.node_id);
-  w.str(p.name);
-  w.u8(p.version);
-  w.varint(p.forwards_sent);
-  w.varint(p.forwards_received);
-  w.varint(p.deltas_sent);
-  w.varint(p.deltas_received);
-}
-
-MeshPeerInfo get_mesh_peer(ByteReader& r) {
-  MeshPeerInfo p;
-  p.node_id = r.u64();
-  p.name = r.str();
-  p.version = r.u8();
-  p.forwards_sent = r.varint();
-  p.forwards_received = r.varint();
-  p.deltas_sent = r.varint();
-  p.deltas_received = r.varint();
-  return p;
-}
-
-void put_mesh_subscription(ByteWriter& w, const MeshSubscriptionInfo& s) {
-  w.varint(s.id);
-  w.str(s.subscriber);
-  w.u8(s.family);
-  w.u8(s.priority);
-  w.u32(s.prefix_count);
-  w.u32(s.acked_day);
-  w.u32(s.acked_seq);
-  w.u32(s.lag_days);
-  w.varint(s.chunks_pushed);
-  w.varint(s.chunks_dropped);
-}
-
-MeshSubscriptionInfo get_mesh_subscription(ByteReader& r) {
-  MeshSubscriptionInfo s;
-  s.id = r.varint();
-  s.subscriber = r.str();
-  s.family = r.u8();
-  if (s.family != 0 && s.family != 4 && s.family != 6) {
-    throw ProtocolError("mesh subscription: bad family " +
-                        std::to_string(s.family));
-  }
-  s.priority = r.u8();
-  s.prefix_count = r.u32();
-  s.acked_day = r.u32();
-  s.acked_seq = r.u32();
-  s.lag_days = r.u32();
-  s.chunks_pushed = r.varint();
-  s.chunks_dropped = r.varint();
-  return s;
-}
-
-void put_mesh_stats(ByteWriter& w, const MeshStatsResponse& m) {
-  w.u64(m.node_id);
-  w.str(m.name);
-  w.u32(m.feed_day);
-  w.u32(m.feed_seq);
-  w.varint(m.deltas_published);
-  w.varint(m.deltas_forwarded);
-  w.varint(m.deltas_dropped);
-  w.varint(m.duplicate_deltas);
-  w.varint(m.forwards_seen);
-  w.varint(m.forward_dups_suppressed);
-  w.varint(m.forwards_answered);
-  w.varint(m.negative_cache_hits);
-  w.varint(m.peers.size());
-  for (const auto& p : m.peers) put_mesh_peer(w, p);
-  w.varint(m.subscriptions.size());
-  for (const auto& s : m.subscriptions) put_mesh_subscription(w, s);
-}
-
-MeshStatsResponse get_mesh_stats(ByteReader& r) {
-  MeshStatsResponse m;
-  m.node_id = r.u64();
-  m.name = r.str();
-  m.feed_day = r.u32();
-  m.feed_seq = r.u32();
-  m.deltas_published = r.varint();
-  m.deltas_forwarded = r.varint();
-  m.deltas_dropped = r.varint();
-  m.duplicate_deltas = r.varint();
-  m.forwards_seen = r.varint();
-  m.forward_dups_suppressed = r.varint();
-  m.forwards_answered = r.varint();
-  m.negative_cache_hits = r.varint();
-  const std::uint64_t peers = r.varint();
-  m.peers.reserve(static_cast<std::size_t>(peers));
-  for (std::uint64_t i = 0; i < peers; ++i) m.peers.push_back(get_mesh_peer(r));
-  const std::uint64_t subs = r.varint();
-  m.subscriptions.reserve(static_cast<std::size_t>(subs));
-  for (std::uint64_t i = 0; i < subs; ++i) {
-    m.subscriptions.push_back(get_mesh_subscription(r));
-  }
-  return m;
-}
-
-void put_flight_event(ByteWriter& w, const FlightEvent& e) {
-  w.i64(e.wall_ns);
-  w.i64(e.sim_ns);
-  w.u64(e.a);
-  w.varint(e.seq);
-  w.u32(e.b);
-  w.u32(e.ring);
-  w.u16(e.code);
-  w.u8(e.kind);
-}
-
-FlightEvent get_flight_event(ByteReader& r) {
-  FlightEvent e;
-  e.wall_ns = r.i64();
-  e.sim_ns = r.i64();
-  e.a = r.u64();
-  e.seq = r.varint();
-  e.b = r.u32();
-  e.ring = r.u32();
-  e.code = r.u16();
-  e.kind = r.u8();
-  return e;
-}
-
-/// Rethrows byte-level underruns as protocol errors so callers see one
-/// exception type for "this payload is not a valid body".
-template <typename Fn>
-auto guarded(const char* what, Fn&& fn) {
-  try {
-    return fn();
-  } catch (const DecodeError& e) {
-    throw ProtocolError(std::string(what) + ": " + e.what());
-  }
-}
-
-}  // namespace
 
 std::string_view to_string(ErrorCode code) {
   switch (code) {
@@ -364,274 +27,19 @@ std::string_view to_string(ErrorCode code) {
 }
 
 std::vector<std::uint8_t> encode_request(const Request& request) {
-  ByteWriter w;
-  std::visit(
-      [&w](const auto& req) {
-        using T = std::decay_t<decltype(req)>;
-        if constexpr (std::is_same_v<T, SummaryRequest>) {
-          w.u8(static_cast<std::uint8_t>(RequestTag::kSummary));
-        } else if constexpr (std::is_same_v<T, StabilityRequest>) {
-          w.u8(static_cast<std::uint8_t>(RequestTag::kStability));
-        } else if constexpr (std::is_same_v<T, HistoryRequest>) {
-          w.u8(static_cast<std::uint8_t>(RequestTag::kHistory));
-          put_prefix(w, req.prefix);
-        } else if constexpr (std::is_same_v<T, IntermittentRequest>) {
-          w.u8(static_cast<std::uint8_t>(RequestTag::kIntermittent));
-        } else if constexpr (std::is_same_v<T, ExportDayRequest>) {
-          w.u8(static_cast<std::uint8_t>(RequestTag::kExportDay));
-          w.u32(req.day);
-        } else if constexpr (std::is_same_v<T, StatsRequest>) {
-          w.u8(static_cast<std::uint8_t>(RequestTag::kStats));
-        } else if constexpr (std::is_same_v<T, LatencyRequest>) {
-          w.u8(static_cast<std::uint8_t>(RequestTag::kLatency));
-        } else if constexpr (std::is_same_v<T, TraceTailRequest>) {
-          w.u8(static_cast<std::uint8_t>(RequestTag::kTraceTail));
-          w.u32(req.max);
-        } else if constexpr (std::is_same_v<T, FlightRecTailRequest>) {
-          w.u8(static_cast<std::uint8_t>(RequestTag::kFlightRecTail));
-          w.u32(req.max);
-        } else if constexpr (std::is_same_v<T, MeshStatsRequest>) {
-          w.u8(static_cast<std::uint8_t>(RequestTag::kMeshStats));
-        }
-      },
-      request);
-  return w.take();
+  return codec::encode(request);
 }
 
 Request decode_request(std::span<const std::uint8_t> bytes) {
-  return guarded("request", [&]() -> Request {
-    ByteReader r(bytes);
-    const auto tag = static_cast<RequestTag>(r.u8());
-    Request request;
-    switch (tag) {
-      case RequestTag::kSummary:
-        request = SummaryRequest{};
-        break;
-      case RequestTag::kStability:
-        request = StabilityRequest{};
-        break;
-      case RequestTag::kHistory: {
-        HistoryRequest req;
-        req.prefix = get_prefix(r);
-        request = req;
-        break;
-      }
-      case RequestTag::kIntermittent:
-        request = IntermittentRequest{};
-        break;
-      case RequestTag::kExportDay: {
-        ExportDayRequest req;
-        req.day = r.u32();
-        request = req;
-        break;
-      }
-      case RequestTag::kStats:
-        request = StatsRequest{};
-        break;
-      case RequestTag::kLatency:
-        request = LatencyRequest{};
-        break;
-      case RequestTag::kTraceTail: {
-        TraceTailRequest req;
-        req.max = r.u32();
-        request = req;
-        break;
-      }
-      case RequestTag::kFlightRecTail: {
-        FlightRecTailRequest req;
-        req.max = r.u32();
-        request = req;
-        break;
-      }
-      case RequestTag::kMeshStats:
-        request = MeshStatsRequest{};
-        break;
-      default:
-        throw ProtocolError("request: unknown tag " +
-                            std::to_string(static_cast<int>(tag)));
-    }
-    if (!r.done()) throw ProtocolError("request: trailing bytes");
-    return request;
-  });
+  return codec::decode<Request, ProtocolError>(bytes, "request");
 }
 
 std::vector<std::uint8_t> encode_response(const Response& response) {
-  ByteWriter w;
-  std::visit(
-      [&w](const auto& resp) {
-        using T = std::decay_t<decltype(resp)>;
-        if constexpr (std::is_same_v<T, ErrorResponse>) {
-          w.u8(static_cast<std::uint8_t>(ResponseTag::kError));
-          w.u8(static_cast<std::uint8_t>(resp.code));
-          w.str(resp.message);
-          w.u32(resp.retry_after_ms);
-        } else if constexpr (std::is_same_v<T, SummaryResponse>) {
-          w.u8(static_cast<std::uint8_t>(ResponseTag::kSummary));
-          const auto& s = resp.summary;
-          w.varint(s.days);
-          w.varint(s.degraded_days);
-          w.u32(s.first_day);
-          w.u32(s.last_day);
-          w.varint(s.records_total);
-          w.varint(s.segment_bytes);
-          w.varint(s.csv_bytes);
-          w.f64(s.compression_ratio);
-          w.f64(s.anycast_daily_mean);
-          w.f64(s.gcd_daily_mean);
-        } else if constexpr (std::is_same_v<T, StabilityResponse>) {
-          w.u8(static_cast<std::uint8_t>(ResponseTag::kStability));
-          put_stats(w, resp.report.anycast_based);
-          put_stats(w, resp.report.gcd);
-          w.u8(resp.report.from_checkpoint ? 1 : 0);
-        } else if constexpr (std::is_same_v<T, HistoryResponse>) {
-          w.u8(static_cast<std::uint8_t>(ResponseTag::kHistory));
-          put_prefix(w, resp.prefix);
-          w.varint(resp.days.size());
-          for (const auto& h : resp.days) put_history_day(w, h);
-        } else if constexpr (std::is_same_v<T, IntermittentResponse>) {
-          w.u8(static_cast<std::uint8_t>(ResponseTag::kIntermittent));
-          put_prefix_list(w, resp.anycast_based);
-          put_prefix_list(w, resp.gcd);
-        } else if constexpr (std::is_same_v<T, ExportDayResponse>) {
-          w.u8(static_cast<std::uint8_t>(ResponseTag::kExportDay));
-          w.u32(resp.day);
-          w.str(resp.csv);
-        } else if constexpr (std::is_same_v<T, StatsResponse>) {
-          w.u8(static_cast<std::uint8_t>(ResponseTag::kStats));
-          put_serve_stats(w, resp.stats);
-        } else if constexpr (std::is_same_v<T, LatencyResponse>) {
-          w.u8(static_cast<std::uint8_t>(ResponseTag::kLatency));
-          w.varint(resp.stages.size());
-          for (const auto& s : resp.stages) put_stage(w, s);
-        } else if constexpr (std::is_same_v<T, TraceTailResponse>) {
-          w.u8(static_cast<std::uint8_t>(ResponseTag::kTraceTail));
-          w.varint(resp.spans.size());
-          for (const auto& s : resp.spans) put_span(w, s);
-          w.varint(resp.dropped);
-        } else if constexpr (std::is_same_v<T, FlightRecTailResponse>) {
-          w.u8(static_cast<std::uint8_t>(ResponseTag::kFlightRecTail));
-          w.varint(resp.events.size());
-          for (const auto& e : resp.events) put_flight_event(w, e);
-        } else if constexpr (std::is_same_v<T, MeshStatsResponse>) {
-          w.u8(static_cast<std::uint8_t>(ResponseTag::kMeshStats));
-          put_mesh_stats(w, resp);
-        }
-      },
-      response);
-  return w.take();
+  return codec::encode(response);
 }
 
 Response decode_response(std::span<const std::uint8_t> bytes) {
-  return guarded("response", [&]() -> Response {
-    ByteReader r(bytes);
-    const auto tag = static_cast<ResponseTag>(r.u8());
-    Response response;
-    switch (tag) {
-      case ResponseTag::kError: {
-        ErrorResponse resp;
-        const std::uint8_t code = r.u8();
-        if (code < 1 || code > 7) {
-          throw ProtocolError("error response: unknown code " +
-                              std::to_string(code));
-        }
-        resp.code = static_cast<ErrorCode>(code);
-        resp.message = r.str();
-        resp.retry_after_ms = r.u32();
-        response = std::move(resp);
-        break;
-      }
-      case ResponseTag::kSummary: {
-        SummaryResponse resp;
-        auto& s = resp.summary;
-        s.days = static_cast<std::size_t>(r.varint());
-        s.degraded_days = static_cast<std::size_t>(r.varint());
-        s.first_day = r.u32();
-        s.last_day = r.u32();
-        s.records_total = r.varint();
-        s.segment_bytes = r.varint();
-        s.csv_bytes = r.varint();
-        s.compression_ratio = r.f64();
-        s.anycast_daily_mean = r.f64();
-        s.gcd_daily_mean = r.f64();
-        response = std::move(resp);
-        break;
-      }
-      case ResponseTag::kStability: {
-        StabilityResponse resp;
-        resp.report.anycast_based = get_stats(r);
-        resp.report.gcd = get_stats(r);
-        resp.report.from_checkpoint = r.u8() != 0;
-        response = std::move(resp);
-        break;
-      }
-      case ResponseTag::kHistory: {
-        HistoryResponse resp;
-        resp.prefix = get_prefix(r);
-        const std::uint64_t n = r.varint();
-        resp.days.reserve(static_cast<std::size_t>(n));
-        for (std::uint64_t i = 0; i < n; ++i) {
-          resp.days.push_back(get_history_day(r));
-        }
-        response = std::move(resp);
-        break;
-      }
-      case ResponseTag::kIntermittent: {
-        IntermittentResponse resp;
-        resp.anycast_based = get_prefix_list(r);
-        resp.gcd = get_prefix_list(r);
-        response = std::move(resp);
-        break;
-      }
-      case ResponseTag::kExportDay: {
-        ExportDayResponse resp;
-        resp.day = r.u32();
-        resp.csv = r.str();
-        response = std::move(resp);
-        break;
-      }
-      case ResponseTag::kStats: {
-        StatsResponse resp;
-        resp.stats = get_serve_stats(r);
-        response = std::move(resp);
-        break;
-      }
-      case ResponseTag::kLatency: {
-        LatencyResponse resp;
-        const std::uint64_t n = r.varint();
-        resp.stages.reserve(static_cast<std::size_t>(n));
-        for (std::uint64_t i = 0; i < n; ++i) resp.stages.push_back(get_stage(r));
-        response = std::move(resp);
-        break;
-      }
-      case ResponseTag::kTraceTail: {
-        TraceTailResponse resp;
-        const std::uint64_t n = r.varint();
-        resp.spans.reserve(static_cast<std::size_t>(n));
-        for (std::uint64_t i = 0; i < n; ++i) resp.spans.push_back(get_span(r));
-        resp.dropped = r.varint();
-        response = std::move(resp);
-        break;
-      }
-      case ResponseTag::kFlightRecTail: {
-        FlightRecTailResponse resp;
-        const std::uint64_t n = r.varint();
-        resp.events.reserve(static_cast<std::size_t>(n));
-        for (std::uint64_t i = 0; i < n; ++i) {
-          resp.events.push_back(get_flight_event(r));
-        }
-        response = std::move(resp);
-        break;
-      }
-      case ResponseTag::kMeshStats:
-        response = get_mesh_stats(r);
-        break;
-      default:
-        throw ProtocolError("response: unknown tag " +
-                            std::to_string(static_cast<int>(tag)));
-    }
-    if (!r.done()) throw ProtocolError("response: trailing bytes");
-    return response;
-  });
+  return codec::decode<Response, ProtocolError>(bytes, "response");
 }
 
 std::vector<std::uint8_t> encode_frame(const std::string& key, FrameKind kind,
@@ -655,7 +63,7 @@ std::vector<std::uint8_t> encode_frame(const std::string& key, FrameKind kind,
 
 Frame decode_frame(const std::string& key, std::span<const std::uint8_t> bytes,
                    std::uint8_t max_version) {
-  return guarded("frame", [&]() -> Frame {
+  try {
     ByteReader r(bytes);
     if (r.u16() != kFrameMagic) throw ProtocolError("frame: bad magic");
     const std::uint8_t version = r.u8();
@@ -691,7 +99,9 @@ Frame decode_frame(const std::string& key, std::span<const std::uint8_t> bytes,
     }
     frame.payload.assign(payload.begin(), payload.end());
     return frame;
-  });
+  } catch (const DecodeError& e) {
+    throw ProtocolError(std::string("frame: ") + e.what());
+  }
 }
 
 std::string_view request_label(const Request& request) {

@@ -9,13 +9,15 @@
 // The MAC is core::frame_mac — exactly the scheme the simulated
 // control-plane Channel authenticates with (paper R8), so the query server
 // inherits the census system's auth model instead of inventing one. The
-// payload is the *canonical* encoding of a request or response body: the
-// request's canonical bytes double as the server's response-cache key, and
-// a response body is byte-identical whether it was computed or served from
+// payload is the *canonical* encoding of a request or response body (each
+// body's fields() is its wire layout, net/codec.hpp): the request's
+// canonical bytes double as the server's response-cache key, and a
+// response body is byte-identical whether it was computed or served from
 // cache. request_id lives in the frame header, not the payload, so two
 // clients asking the same question hash to the same cache entry.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -24,7 +26,25 @@
 #include <vector>
 
 #include "net/address.hpp"
+#include "net/codec.hpp"
 #include "store/query.hpp"
+
+// Wire layouts of the query results the serve plane carries, declared in
+// their types' namespaces so the codec finds them by argument lookup.
+namespace laces::census {
+void fields(auto& io, codec::Is<StabilityStats> auto& s) {
+  io(codec::varint(s.days), codec::varint(s.degraded_days),
+     codec::varint(s.union_size), codec::varint(s.every_day), s.daily_mean);
+}
+}  // namespace laces::census
+
+namespace laces::store {
+void fields(auto& io, codec::Is<HistoryDay> auto& h) {
+  io(h.day,
+     codec::flags(h.degraded, h.published, h.anycast_based, h.gcd_confirmed),
+     codec::varint(h.max_vp_count), codec::varint(h.gcd_sites));
+}
+}  // namespace laces::store
 
 namespace laces::serve {
 
@@ -62,28 +82,33 @@ enum class FrameKind : std::uint8_t {
 struct SummaryRequest {
   bool operator==(const SummaryRequest&) const = default;
 };
+void fields(auto&, codec::Is<SummaryRequest> auto&) {}
 
 /// Longitudinal stability statistics (both methods).
 struct StabilityRequest {
   bool operator==(const StabilityRequest&) const = default;
 };
+void fields(auto&, codec::Is<StabilityRequest> auto&) {}
 
 /// Per-day detection history of one prefix.
 struct HistoryRequest {
   net::Prefix prefix;
   bool operator==(const HistoryRequest&) const = default;
 };
+void fields(auto& io, codec::Is<HistoryRequest> auto& m) { io(m.prefix); }
 
 /// Intermittent prefix sets (detected on some but not all healthy days).
 struct IntermittentRequest {
   bool operator==(const IntermittentRequest&) const = default;
 };
+void fields(auto&, codec::Is<IntermittentRequest> auto&) {}
 
 /// One archived day in the §4.2.4 CSV publication format.
 struct ExportDayRequest {
   std::uint32_t day = 0;
   bool operator==(const ExportDayRequest&) const = default;
 };
+void fields(auto& io, codec::Is<ExportDayRequest> auto& m) { io(m.day); }
 
 // --- admin (introspection) requests ---
 //
@@ -97,24 +122,28 @@ struct ExportDayRequest {
 struct StatsRequest {
   bool operator==(const StatsRequest&) const = default;
 };
+void fields(auto&, codec::Is<StatsRequest> auto&) {}
 
 /// Per-stage latency percentiles (queue wait / archive read / render /
 /// total) from the server's LogHistograms.
 struct LatencyRequest {
   bool operator==(const LatencyRequest&) const = default;
 };
+void fields(auto&, codec::Is<LatencyRequest> auto&) {}
 
 /// Most recent finished trace spans (0 = all retained).
 struct TraceTailRequest {
   std::uint32_t max = 0;
   bool operator==(const TraceTailRequest&) const = default;
 };
+void fields(auto& io, codec::Is<TraceTailRequest> auto& m) { io(m.max); }
 
 /// Merged flight-recorder tail (0 = everything retained).
 struct FlightRecTailRequest {
   std::uint32_t max = 0;
   bool operator==(const FlightRecTailRequest&) const = default;
 };
+void fields(auto& io, codec::Is<FlightRecTailRequest> auto& m) { io(m.max); }
 
 /// Per-peer mesh state: connected peers, subscriptions, cursor lag,
 /// dropped-delta counts (src/mesh/relay.hpp). Answered inline by a relay;
@@ -122,10 +151,10 @@ struct FlightRecTailRequest {
 struct MeshStatsRequest {
   bool operator==(const MeshStatsRequest&) const = default;
 };
+void fields(auto&, codec::Is<MeshStatsRequest> auto&) {}
 
-// New request types append at the END: RequestTag (protocol.cpp) is the
-// variant index + 1, so earlier tags — and every archived client — keep
-// their wire bytes.
+// New request types append at the END: the wire tag is the variant index
+// + 1, so earlier tags — and every archived client — keep their wire bytes.
 using Request = std::variant<SummaryRequest, StabilityRequest, HistoryRequest,
                              IntermittentRequest, ExportDayRequest,
                              StatsRequest, LatencyRequest, TraceTailRequest,
@@ -149,6 +178,13 @@ enum class ErrorCode : std::uint8_t {
   kUnreachable = 7,   // no relay in reach could answer (forward dead-end)
 };
 
+/// Every ErrorCode: the bytes a decoder accepts. Append new codes here too.
+inline constexpr std::array<ErrorCode, 7> kAllErrorCodes = {
+    ErrorCode::kBadRequest,     ErrorCode::kUnknownDay,
+    ErrorCode::kCorruptArchive, ErrorCode::kOverloaded,
+    ErrorCode::kShuttingDown,   ErrorCode::kVersionMismatch,
+    ErrorCode::kUnreachable};
+
 std::string_view to_string(ErrorCode code);
 
 struct ErrorResponse {
@@ -157,34 +193,56 @@ struct ErrorResponse {
   std::uint32_t retry_after_ms = 0;
   bool operator==(const ErrorResponse&) const = default;
 };
+void fields(auto& io, codec::Is<ErrorResponse> auto& m) {
+  io(codec::one_of(m.code, kAllErrorCodes), m.message, m.retry_after_ms);
+}
 
 struct SummaryResponse {
   store::ArchiveSummary summary;
   bool operator==(const SummaryResponse&) const = default;
 };
+void fields(auto& io, codec::Is<SummaryResponse> auto& m) {
+  auto& s = m.summary;
+  io(codec::varint(s.days), codec::varint(s.degraded_days), s.first_day,
+     s.last_day, codec::varint(s.records_total),
+     codec::varint(s.segment_bytes), codec::varint(s.csv_bytes),
+     s.compression_ratio, s.anycast_daily_mean, s.gcd_daily_mean);
+}
 
 struct StabilityResponse {
   store::StabilityReport report;
   bool operator==(const StabilityResponse&) const = default;
 };
+void fields(auto& io, codec::Is<StabilityResponse> auto& m) {
+  io(m.report.anycast_based, m.report.gcd, m.report.from_checkpoint);
+}
 
 struct HistoryResponse {
   net::Prefix prefix;
   std::vector<store::HistoryDay> days;
   bool operator==(const HistoryResponse&) const = default;
 };
+void fields(auto& io, codec::Is<HistoryResponse> auto& m) {
+  io(m.prefix, m.days);
+}
 
 struct IntermittentResponse {
   std::vector<net::Prefix> anycast_based;
   std::vector<net::Prefix> gcd;
   bool operator==(const IntermittentResponse&) const = default;
 };
+void fields(auto& io, codec::Is<IntermittentResponse> auto& m) {
+  io(m.anycast_based, m.gcd);
+}
 
 struct ExportDayResponse {
   std::uint32_t day = 0;
   std::string csv;
   bool operator==(const ExportDayResponse&) const = default;
 };
+void fields(auto& io, codec::Is<ExportDayResponse> auto& m) {
+  io(m.day, m.csv);
+}
 
 // --- admin (introspection) responses ---
 
@@ -211,11 +269,26 @@ struct ServeStats {
   bool draining = false;
   bool operator==(const ServeStats&) const = default;
 };
+void fields(auto& io, codec::Is<ServeStats> auto& s) {
+  io(codec::varint(s.requests_executed), codec::varint(s.requests_shed),
+     codec::varint(s.auth_failures), codec::varint(s.response_cache_hits),
+     codec::varint(s.response_cache_misses),
+     codec::varint(s.response_cache_evictions),
+     codec::varint(s.response_cache_entries),
+     codec::varint(s.negative_cache_hits),
+     codec::varint(s.negative_cache_entries),
+     codec::varint(s.segment_cache_hits),
+     codec::varint(s.segment_cache_misses),
+     codec::varint(s.flightrec_recorded),
+     codec::varint(s.flightrec_overwritten), s.workers, s.queue_depth,
+     s.queue_capacity, s.active_spans, s.draining);
+}
 
 struct StatsResponse {
   ServeStats stats;
   bool operator==(const StatsResponse&) const = default;
 };
+void fields(auto& io, codec::Is<StatsResponse> auto& m) { io(m.stats); }
 
 /// One instrumented request-path stage ("queue_wait", "archive_read",
 /// "render", "total"), percentiles in microseconds.
@@ -228,11 +301,16 @@ struct StageLatency {
   double max_us = 0.0;
   bool operator==(const StageLatency&) const = default;
 };
+void fields(auto& io, codec::Is<StageLatency> auto& s) {
+  io(s.stage, codec::varint(s.count), s.p50_us, s.p99_us, s.p999_us,
+     s.max_us);
+}
 
 struct LatencyResponse {
   std::vector<StageLatency> stages;
   bool operator==(const LatencyResponse&) const = default;
 };
+void fields(auto& io, codec::Is<LatencyResponse> auto& m) { io(m.stages); }
 
 /// A finished trace span (obs::SpanRecord, flattened for the wire).
 struct SpanInfo {
@@ -243,12 +321,19 @@ struct SpanInfo {
   std::int64_t end_ns = 0;
   bool operator==(const SpanInfo&) const = default;
 };
+void fields(auto& io, codec::Is<SpanInfo> auto& s) {
+  io(codec::varint(s.id), codec::varint(s.parent), s.name, s.start_ns,
+     s.end_ns);
+}
 
 struct TraceTailResponse {
   std::vector<SpanInfo> spans;
   std::uint64_t dropped = 0;  // spans lost to the tracer's buffer bound
   bool operator==(const TraceTailResponse&) const = default;
 };
+void fields(auto& io, codec::Is<TraceTailResponse> auto& m) {
+  io(m.spans, codec::varint(m.dropped));
+}
 
 /// One flight-recorder event (obs::DecodedFlightEvent on the wire).
 struct FlightEvent {
@@ -262,11 +347,18 @@ struct FlightEvent {
   std::uint8_t kind = 0;
   bool operator==(const FlightEvent&) const = default;
 };
+void fields(auto& io, codec::Is<FlightEvent> auto& e) {
+  io(e.wall_ns, e.sim_ns, e.a, codec::varint(e.seq), e.b, e.ring, e.code,
+     e.kind);
+}
 
 struct FlightRecTailResponse {
   std::vector<FlightEvent> events;
   bool operator==(const FlightRecTailResponse&) const = default;
 };
+void fields(auto& io, codec::Is<FlightRecTailResponse> auto& m) {
+  io(m.events);
+}
 
 /// One connected mesh peer as seen by the answering relay.
 struct MeshPeerInfo {
@@ -279,6 +371,14 @@ struct MeshPeerInfo {
   std::uint64_t deltas_received = 0;
   bool operator==(const MeshPeerInfo&) const = default;
 };
+void fields(auto& io, codec::Is<MeshPeerInfo> auto& p) {
+  io(p.node_id, p.name, p.version, codec::varint(p.forwards_sent),
+     codec::varint(p.forwards_received), codec::varint(p.deltas_sent),
+     codec::varint(p.deltas_received));
+}
+
+/// Subscription family filters: 0 = both, 4, 6.
+inline constexpr std::array<std::uint8_t, 3> kSubscriptionFamilies = {0, 4, 6};
 
 /// One subscription registered at the answering relay.
 struct MeshSubscriptionInfo {
@@ -295,6 +395,12 @@ struct MeshSubscriptionInfo {
   std::uint64_t chunks_dropped = 0;
   bool operator==(const MeshSubscriptionInfo&) const = default;
 };
+void fields(auto& io, codec::Is<MeshSubscriptionInfo> auto& s) {
+  io(codec::varint(s.id), s.subscriber,
+     codec::one_of(s.family, kSubscriptionFamilies), s.priority,
+     s.prefix_count, s.acked_day, s.acked_seq, s.lag_days,
+     codec::varint(s.chunks_pushed), codec::varint(s.chunks_dropped));
+}
 
 struct MeshStatsResponse {
   std::uint64_t node_id = 0;
@@ -313,6 +419,14 @@ struct MeshStatsResponse {
   std::vector<MeshSubscriptionInfo> subscriptions;
   bool operator==(const MeshStatsResponse&) const = default;
 };
+void fields(auto& io, codec::Is<MeshStatsResponse> auto& m) {
+  io(m.node_id, m.name, m.feed_day, m.feed_seq,
+     codec::varint(m.deltas_published), codec::varint(m.deltas_forwarded),
+     codec::varint(m.deltas_dropped), codec::varint(m.duplicate_deltas),
+     codec::varint(m.forwards_seen), codec::varint(m.forward_dups_suppressed),
+     codec::varint(m.forwards_answered), codec::varint(m.negative_cache_hits),
+     m.peers, m.subscriptions);
+}
 
 // Appended at the END (see the Request variant note).
 using Response =

@@ -16,7 +16,7 @@ double micros_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Wire tag of a request (RequestTag in protocol.cpp is variant order + 1)
+/// Wire tag of a request (variant index + 1, as net/codec.hpp encodes it)
 /// — the flight recorder's per-event request-class code.
 std::uint16_t request_tag(const Request& request) {
   return static_cast<std::uint16_t>(request.index() + 1);

@@ -95,7 +95,8 @@ Checkpoint decode_checkpoint(std::span<const std::uint8_t> bytes) {
     cp.pipeline.at_list = get_prefix_list(r);
     cp.pipeline.partial = get_prefix_list(r);
     cp.pipeline.canary_days = r.varint();
-    const std::uint64_t canary_entries = r.varint();
+    // Each entry is a varint worker id and an f64 share.
+    const std::uint64_t canary_entries = get_count(r, 9, "checkpoint canary");
     cp.pipeline.canary_share_sums.reserve(canary_entries);
     for (std::uint64_t i = 0; i < canary_entries; ++i) {
       const auto worker = static_cast<net::WorkerId>(r.varint());
@@ -112,7 +113,7 @@ Checkpoint decode_checkpoint(std::span<const std::uint8_t> bytes) {
     cp.longitudinal.anycast_counts = get_count_map(r);
     cp.longitudinal.gcd_counts = get_count_map(r);
 
-    const std::uint64_t workers = r.varint();
+    const std::uint64_t workers = get_count(r, 32, "checkpoint worker RNG");
     cp.worker_rng.reserve(workers);
     for (std::uint64_t i = 0; i < workers; ++i) {
       std::array<std::uint64_t, 4> state{};

@@ -50,7 +50,8 @@ void put_prefix_list(ByteWriter& w, std::span<const net::Prefix> prefixes) {
 }
 
 std::vector<net::Prefix> get_prefix_list(ByteReader& r) {
-  const std::uint64_t count = r.varint();
+  // A v4 entry is at least a family tag and a one-byte delta.
+  const std::uint64_t count = get_count(r, 2, "prefix list");
   std::vector<net::Prefix> out;
   out.reserve(count);
   std::uint64_t prev_v4 = 0;
@@ -59,18 +60,37 @@ std::vector<net::Prefix> get_prefix_list(ByteReader& r) {
     const std::uint8_t tag = r.u8();
     if (tag == 4) {
       prev_v4 += static_cast<std::uint64_t>(r.svarint());
+      if ((prev_v4 & 0xFF) > 32 || prev_v4 >> 40) {
+        throw ArchiveError("prefix list: bad v4 key " +
+                           std::to_string(prev_v4));
+      }
       out.push_back(unpack_v4(prev_v4));
     } else if (tag == 6) {
       prev_hi += static_cast<std::uint64_t>(r.svarint());
       const std::uint64_t lo = r.varint();
-      const auto len = static_cast<std::uint8_t>(r.varint());
-      out.push_back(net::Ipv6Prefix(net::Ipv6Address(prev_hi, lo), len));
+      const std::uint64_t len = r.varint();
+      if (len > 128) {
+        throw ArchiveError("prefix list: bad v6 length " +
+                           std::to_string(len));
+      }
+      out.push_back(net::Ipv6Prefix(net::Ipv6Address(prev_hi, lo),
+                                    static_cast<std::uint8_t>(len)));
     } else {
       throw ArchiveError("prefix list: bad family tag " +
                          std::to_string(tag));
     }
   }
   return out;
+}
+
+std::uint64_t get_count(ByteReader& r, std::size_t min_bytes,
+                        const char* what) {
+  const std::uint64_t count = r.varint();
+  if (count > r.remaining() / min_bytes) {
+    throw ArchiveError(std::string(what) + ": count " +
+                       std::to_string(count) + " exceeds the bytes left");
+  }
+  return count;
 }
 
 void put_sha256_footer(ByteWriter& w) {

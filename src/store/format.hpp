@@ -48,6 +48,12 @@ class ArchiveError : public std::runtime_error {
 void put_prefix_list(ByteWriter& w, std::span<const net::Prefix> prefixes);
 std::vector<net::Prefix> get_prefix_list(ByteReader& r);
 
+/// Reads a varint element count and checks it against the bytes left, each
+/// element taking at least `min_bytes`: an inflated count throws
+/// ArchiveError (naming `what`) before anything is reserved.
+std::uint64_t get_count(ByteReader& r, std::size_t min_bytes,
+                        const char* what);
+
 /// Appends a SHA-256 digest over everything written so far; the footer of
 /// every binary archive file.
 void put_sha256_footer(ByteWriter& w);

@@ -174,7 +174,7 @@ census::DailyCensus decode_segment(std::span<const std::uint8_t> bytes) {
       }
     }
     for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t count = r.varint();
+      const std::uint64_t count = get_count(r, 1, "segment GCD locations");
       records[i].gcd_locations.reserve(count);
       for (std::uint64_t c = 0; c < count; ++c) {
         records[i].gcd_locations.push_back(

@@ -110,6 +110,7 @@ AsGraph AsGraph::generate(const AsGraphConfig& config, Rng& rng) {
     }
   }
 
+  g.hop_rows_ = std::make_unique<HopRow[]>(nodes.size());
   return g;
 }
 
@@ -140,8 +141,8 @@ std::vector<AsId> AsGraph::path(AsId from, AsId to) const {
 
 const std::vector<std::uint16_t>& AsGraph::hops_from(AsId src) const {
   expects(src < nodes_.size(), "valid AS id");
-  if (bfs_cache_.empty()) bfs_cache_.resize(nodes_.size());
-  if (const auto& cached = bfs_cache_[src]) return *cached;
+  auto& slot = hop_rows_[src].row;
+  if (const auto* cached = slot.load()) return *cached;
 
   auto dist = std::make_unique<std::vector<std::uint16_t>>(nodes_.size(),
                                                            kUnreachable);
@@ -158,8 +159,11 @@ const std::vector<std::uint16_t>& AsGraph::hops_from(AsId src) const {
       }
     }
   }
-  bfs_cache_[src] = std::move(dist);
-  return *bfs_cache_[src];
+  const std::vector<std::uint16_t>* published = nullptr;
+  if (slot.compare_exchange_strong(published, dist.get())) {
+    return *dist.release();
+  }
+  return *published;  // another thread's row won; it is identical
 }
 
 }  // namespace laces::topo

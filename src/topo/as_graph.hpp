@@ -5,6 +5,7 @@
 // hot-potato distance in RoutingModel. BFS results are cached per source.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -48,7 +49,8 @@ class AsGraph {
   const AsNode& node(AsId id) const;
 
   /// Hop count from `src` to every AS (unreachable = kUnreachable).
-  /// Cached per source; thread-compatible (not thread-safe).
+  /// Cached per source; safe to call from several threads at once (shard
+  /// workers share one graph).
   const std::vector<std::uint16_t>& hops_from(AsId src) const;
 
   /// Hop count between two ASes.
@@ -62,11 +64,19 @@ class AsGraph {
   static constexpr std::uint16_t kUnreachable = 0xffff;
 
  private:
+  /// One source AS's BFS row, computed on first use and published once:
+  /// racing first callers each compute the (identical) row, the first
+  /// compare-exchange wins, and every later reader needs one atomic load.
+  struct HopRow {
+    std::atomic<const std::vector<std::uint16_t>*> row{nullptr};
+    ~HopRow() { delete row.load(); }
+  };
+
   std::vector<AsNode> nodes_;
-  /// Indexed by source AS id (sized on first use). hops() sits under every
+  /// Indexed by source AS id, sized by generate(). hops() sits under every
   /// catchment score, so the cached-row lookup must be one array index,
   /// not a hash probe.
-  mutable std::vector<std::unique_ptr<std::vector<std::uint16_t>>> bfs_cache_;
+  std::unique_ptr<HopRow[]> hop_rows_;
 };
 
 }  // namespace laces::topo

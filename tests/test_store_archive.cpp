@@ -3,6 +3,7 @@
 // checkpoint round-trips and corruption reporting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -272,6 +273,34 @@ TEST(StoreArchive, CheckpointRoundTrips) {
   auto corrupt = bytes;
   corrupt[bytes.size() / 2] ^= 0x10;
   EXPECT_THROW(decode_checkpoint(corrupt), ArchiveError);
+}
+
+TEST(StoreArchive, InflatedCheckpointCountsAreArchiveErrors) {
+  // A checkpoint with a valid footer whose list count claims 2^64 - 1
+  // entries must fail as ArchiveError before anything is reserved (not
+  // std::length_error, which --resume and verify() do not catch). Marker
+  // varints locate the counts: at_list follows gcd_run_counter, the canary
+  // list follows canary_days, and the two count maps and the worker-RNG
+  // list follow gcd_every_day.
+  Checkpoint cp;
+  cp.pipeline.gcd_run_counter = 0x61;
+  cp.pipeline.canary_days = 0x62;
+  cp.longitudinal.gcd_every_day = 0x63;
+  const auto bytes = encode_checkpoint(cp);
+  const auto payload_end = bytes.end() - 32;
+  for (const auto& [marker, skip] : {std::pair{0x61, 0}, {0x62, 0},
+                                     {0x63, 0}, {0x63, 1}, {0x63, 2}}) {
+    const auto count = std::find(bytes.begin(), payload_end, marker) + 1 + skip;
+    ASSERT_LT(count, payload_end);
+    ASSERT_EQ(*count, 0) << "marker " << marker;  // an empty list
+    ByteWriter w;
+    w.bytes(std::span(bytes.data(), count - bytes.begin()));
+    w.varint(~std::uint64_t{0});
+    w.bytes(std::span(&*(count + 1), payload_end - count - 1));
+    put_sha256_footer(w);
+    EXPECT_THROW(decode_checkpoint(w.view()), ArchiveError)
+        << "marker " << marker << " + " << skip;
+  }
 }
 
 TEST(StoreArchive, CheckpointPersistsThroughWriterAndReader) {

@@ -174,5 +174,49 @@ TEST(StoreSegment, BadVerdictCodeIsRejected) {
   EXPECT_THROW(decode_segment(w.view()), ArchiveError);
 }
 
+TEST(StoreSegment, PrefixListRejectsOutOfRangeLengths) {
+  // A v4 key is (address << 8) | length; a length over 32 (or 128 for
+  // v6), or a key wider than 40 bits, is a format error, not a
+  // ContractViolation from the prefix constructor.
+  const std::uint64_t key = std::uint64_t{0x0a000100} << 8;
+  for (const std::uint64_t bad :
+       {key | 33, key | 0xff, key | (std::uint64_t{1} << 40)}) {
+    ByteWriter w;
+    w.varint(1);
+    w.u8(4);
+    w.svarint(static_cast<std::int64_t>(bad));
+    ByteReader r(w.view());
+    EXPECT_THROW(get_prefix_list(r), ArchiveError) << bad;
+  }
+  ByteWriter w;
+  w.varint(1);
+  w.u8(6);
+  w.svarint(0x20010db8);
+  w.varint(0);
+  w.varint(129);
+  ByteReader r(w.view());
+  EXPECT_THROW(get_prefix_list(r), ArchiveError);
+}
+
+TEST(StoreSegment, InflatedGcdLocationCountIsRejected) {
+  // The payload ends with the last record's GCD-location count (0 here)
+  // and the empty anycast-target list. A count of 2^64 - 1 behind a valid
+  // footer must be an ArchiveError, not a std::length_error from reserve.
+  census::DailyCensus census;
+  census.day = 3;
+  auto rec = make_record(v4(10, 1, 1));
+  rec.gcd_locations.clear();
+  census.records.emplace(rec.prefix, rec);
+  const auto bytes = encode_segment(census);
+  const std::size_t count = bytes.size() - 32 - 2;
+  ASSERT_EQ(bytes[count], 0);
+  ByteWriter w;
+  w.bytes(std::span(bytes.data(), count));
+  w.varint(~std::uint64_t{0});
+  w.u8(0);  // anycast targets: none
+  put_sha256_footer(w);
+  EXPECT_THROW(decode_segment(w.view()), ArchiveError);
+}
+
 }  // namespace
 }  // namespace laces::store

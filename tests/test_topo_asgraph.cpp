@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "topo/as_graph.hpp"
 #include "util/contracts.hpp"
@@ -127,6 +129,31 @@ TEST(AsGraph, InvalidIdThrows) {
   const auto g = AsGraph::generate(small_config(), rng);
   EXPECT_THROW(g.node(static_cast<AsId>(g.size())), ContractViolation);
   EXPECT_THROW(g.hops_from(static_cast<AsId>(g.size())), ContractViolation);
+}
+
+TEST(AsGraph, ColdGraphConcurrentHopsMatchSequential) {
+  // Shard workers share one graph and fill its BFS cache concurrently.
+  // Every thread walks every source on a cold graph (so first uses race)
+  // and must see exactly the rows a single-threaded warm-up computes.
+  Rng rng_cold(12), rng_warm(12);
+  const auto cold = AsGraph::generate(small_config(), rng_cold);
+  const auto warm = AsGraph::generate(small_config(), rng_warm);
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::vector<std::uint16_t>>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&cold, &seen, t] {
+      for (AsId src = 0; src < cold.size(); ++src) {
+        seen[t].push_back(cold.hops_from(src));
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (AsId src = 0; src < warm.size(); ++src) {
+      ASSERT_EQ(seen[t][src], warm.hops_from(src)) << "thread " << t;
+    }
+  }
 }
 
 }  // namespace
