@@ -7,8 +7,7 @@
 // bench exits non-zero if it does not.
 //
 // Emits BENCH_archive.json for the CI regression gate:
-//   python3 scripts/check_bench.py BENCH_archive.json
-//       --baseline scripts/bench_baseline_archive.json
+//   python3 scripts/check_bench.py BENCH_archive.json --bench archive
 // LACES_BENCH_SHORT=1 shrinks the workload for CI runners.
 #include <chrono>
 #include <cstdio>
@@ -21,6 +20,7 @@
 #include "census/pipeline.hpp"
 #include "common/scenario.hpp"
 #include "store/archive.hpp"
+#include "util/sha256.hpp"
 
 namespace {
 
@@ -97,7 +97,10 @@ int main(int argc, char** argv) {
   const double read_mb_s =
       read_secs > 0 ? static_cast<double>(bytes_read) / kMiB / read_secs : 0.0;
 
+  const std::string backend(sha256_backend());
   std::ofstream(json_path) << "{\n"
+                           << "  \"sha256_backend\": \"" << backend
+                           << "\",\n"
                            << "  \"archive_write_mb_s\": " << write_mb_s
                            << ",\n"
                            << "  \"archive_read_mb_s\": " << read_mb_s
@@ -105,6 +108,7 @@ int main(int argc, char** argv) {
                            << "  \"compression_ratio\": " << ratio << "\n"
                            << "}\n";
   std::printf("=== laces_store archive throughput ===\n");
+  std::printf("sha256 backend: %s\n", backend.c_str());
   std::printf("days archived: %u (x%d write passes); per archive %llu "
               "segment bytes vs %llu CSV bytes; %llu records decoded\n",
               days, write_passes,

@@ -12,8 +12,7 @@
 // census pipeline pays to publish a day.
 //
 // Emits BENCH_mesh.json for the CI regression gate:
-//   python3 scripts/check_bench.py BENCH_mesh.json
-//       --baseline scripts/bench_baseline_mesh.json
+//   python3 scripts/check_bench.py BENCH_mesh.json --bench mesh
 // LACES_BENCH_SHORT=1 shrinks the workload for CI runners.
 #include <chrono>
 #include <cstdio>
@@ -25,6 +24,7 @@
 
 #include "mesh/relay.hpp"
 #include "store/archive.hpp"
+#include "util/sha256.hpp"
 #include "util/stats.hpp"
 
 namespace {
@@ -113,14 +113,17 @@ int main(int argc, char** argv) {
   const double p99 = percentile(push_latency_ms, 99.0);
   const double p999 = percentile(push_latency_ms, 99.9);
 
+  const std::string backend(sha256_backend());
   std::ofstream(json_path)
       << "{\n"
+      << "  \"sha256_backend\": \"" << backend << "\",\n"
       << "  \"mesh_deltas_per_sec\": " << deltas_per_sec << ",\n"
       << "  \"mesh_push_p50_ms\": " << p50 << ",\n"
       << "  \"mesh_push_p999_ms\": " << p999 << "\n"
       << "}\n";
 
   std::printf("=== laces_mesh fan-out ===\n");
+  std::printf("sha256 backend: %s\n", backend.c_str());
   std::printf("%u days x %u candidate /24s -> %zu subscribers; "
               "%llu chunk deliveries (%llu chunks published) in %.2f s\n",
               days, spread, subscribers,

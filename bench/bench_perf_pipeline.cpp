@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <string>
 #include <thread>
 
 #include "common/scenario.hpp"
@@ -21,6 +22,7 @@
 #include "net/responder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/sha256.hpp"
 
 namespace {
 
@@ -303,6 +305,7 @@ void write_bench_json(const char* path, double events_per_sec,
                       const ScaledNumbers& scaled) {
   std::ofstream out(path);
   out << "{\n"
+      << "  \"sha256_backend\": \"" << sha256_backend() << "\",\n"
       << "  \"events_per_sec\": " << events_per_sec << ",\n"
       << "  \"packets_per_sec\": " << census.packets_per_sec << ",\n"
       << "  \"census_day_wall_ms\": " << census.census_day_wall_ms << ",\n"
@@ -331,10 +334,12 @@ int main(int argc, char** argv) {
   const ScaledNumbers scaled = measure_scaled_census(short_mode);
   write_bench_json(json_path, events_per_sec, census, scaled);
   std::printf(
-      "BENCH_pipeline.json: events_per_sec=%.3g packets_per_sec=%.3g "
-      "census_day_wall_ms=%.3g scaled_census_day_wall_ms=%.3g cores=%u "
-      "parallel_speedup_8=%.3g -> %s\n",
-      events_per_sec, census.packets_per_sec, census.census_day_wall_ms,
+      "BENCH_pipeline.json: sha256_backend=%s events_per_sec=%.3g "
+      "packets_per_sec=%.3g census_day_wall_ms=%.3g "
+      "scaled_census_day_wall_ms=%.3g cores=%u parallel_speedup_8=%.3g "
+      "-> %s\n",
+      std::string(sha256_backend()).c_str(), events_per_sec,
+      census.packets_per_sec, census.census_day_wall_ms,
       scaled.scaled_census_day_wall_ms, scaled.cores,
       scaled.parallel_speedup_8, json_path);
   // The tentpole's performance bar, enforced where it is measurable: a

@@ -16,14 +16,14 @@
 // It gets its own pass below, reported in MB/s (printed, not gated).
 //
 // Emits BENCH_serve.json for the CI regression gate:
-//   python3 scripts/check_bench.py BENCH_serve.json
-//       --baseline scripts/bench_baseline_serve.json
+//   python3 scripts/check_bench.py BENCH_serve.json --bench serve
 // LACES_BENCH_SHORT=1 shrinks the workload for CI runners.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <variant>
 #include <vector>
 
@@ -34,6 +34,7 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "store/archive.hpp"
+#include "util/sha256.hpp"
 #include "util/stats.hpp"
 
 namespace {
@@ -154,8 +155,14 @@ int main(int argc, char** argv) {
           .count();
   server.drain();
 
-  std::ofstream(json_path) << report.to_json();
+  // The load report's JSON, led by the hashing backend every frame MAC
+  // ran on.
+  const std::string backend(sha256_backend());
+  std::string json = report.to_json();
+  json.replace(0, 2, "{\n  \"sha256_backend\": \"" + backend + "\",\n");
+  std::ofstream(json_path) << json;
   std::printf("=== laces_serve throughput ===\n");
+  std::printf("sha256 backend: %s\n", backend.c_str());
   std::printf("archive: %u days, %zu prefixes; server: %zu workers, "
               "cache %zux%zu\n",
               days, prefixes.size(), server_config.threads,

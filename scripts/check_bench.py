@@ -1,29 +1,27 @@
 #!/usr/bin/env python3
-"""Gate CI on simulator fast-path performance.
+"""Gate CI on the performance benches against their checked-in baselines.
 
-Compares a BENCH_pipeline.json produced by bench_perf_pipeline against the
-checked-in baseline (scripts/bench_baseline.json) and exits non-zero if any
-metric regressed by more than the allowed factor (default 2x). The factor
-is deliberately loose: shared CI runners are noisy, and the gate exists to
-catch algorithmic regressions (an accidental O(n^2), a capture outgrowing
-the inline-callback buffer), not scheduler jitter.
-
-Also gates the laces_store archive bench (bench_archive) and the
-laces_serve query-server bench (bench_serve): pass their result files with
-the matching baseline (scripts/bench_baseline_archive.json /
-scripts/bench_baseline_serve.json). Metrics absent from the chosen
-baseline are reported but not gated, so the one METRICS table serves every
-result file.
+Compares a BENCH_*.json result file with one section of the checked-in
+baseline (scripts/bench_baseline.json, one section per bench: pipeline,
+archive, serve, mesh) and exits non-zero if any metric regressed by more
+than the allowed factor (default 2x). The factor is deliberately loose:
+shared CI runners are noisy, and the gate exists to catch algorithmic
+regressions (an accidental O(n^2), a capture outgrowing the
+inline-callback buffer), not scheduler jitter. Metrics absent from the
+chosen section are reported but not gated, so the one METRICS table serves
+every result file.
 
 Usage:
-    scripts/check_bench.py BENCH_pipeline.json [--baseline scripts/bench_baseline.json]
+    scripts/check_bench.py BENCH_pipeline.json --bench pipeline
+    scripts/check_bench.py BENCH_archive.json --bench archive
+    scripts/check_bench.py BENCH_serve.json --bench serve
+    scripts/check_bench.py BENCH_mesh.json --bench mesh
+                           [--baseline scripts/bench_baseline.json]
                            [--max-regression 2.0]
-    scripts/check_bench.py BENCH_archive.json --baseline scripts/bench_baseline_archive.json
-    scripts/check_bench.py BENCH_serve.json --baseline scripts/bench_baseline_serve.json
 
-After an intentional performance change, refresh the baseline on a quiet
-machine (`./bench/bench_perf_pipeline` / `./bench/bench_archive` in a
-Release build) and commit the new baseline file together with the change.
+After an intentional performance change, refresh the bench's section on a
+quiet machine (`./bench/bench_perf_pipeline` / `./bench/bench_archive` /
+... in a Release build) and commit it together with the change.
 """
 
 import argparse
@@ -60,7 +58,12 @@ METRICS = {
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("results", help="BENCH_pipeline.json from bench_perf_pipeline")
+    parser.add_argument("results", help="BENCH_*.json written by the bench")
+    parser.add_argument(
+        "--bench",
+        required=True,
+        help="baseline section to compare against (pipeline, archive, serve, mesh)",
+    )
     parser.add_argument("--baseline", default="scripts/bench_baseline.json")
     parser.add_argument(
         "--max-regression",
@@ -73,8 +76,14 @@ def main() -> int:
     with open(args.results) as f:
         results = json.load(f)
     with open(args.baseline) as f:
-        baseline = json.load(f)
+        sections = json.load(f)
+    if args.bench not in sections or args.bench.startswith("_"):
+        names = ", ".join(k for k in sections if not k.startswith("_"))
+        print(f"unknown bench '{args.bench}' (baseline has: {names})", file=sys.stderr)
+        return 2
+    baseline = sections[args.bench]
 
+    print(f"sha256 backend: {results.get('sha256_backend', '(not recorded)')}")
     failures = []
     print(f"{'metric':<24} {'baseline':>14} {'current':>14} {'ratio':>8}")
     for name, direction in METRICS.items():

@@ -99,7 +99,7 @@ const ManifestEntry& ArchiveWriter::append(const census::DailyCensus& census) {
       static_cast<std::uint32_t>(census.gcd_confirmed_prefixes().size());
   entry.segment_bytes = segment.size();
   entry.csv_bytes = census::render_census(census).size();
-  entry.digest_hex = segment_digest_hex(segment);
+  entry.digest_hex = footer_hex(segment);  // encode_segment just hashed it
   entry.file = segment_file_name(census.day);
 
   write_file_atomic(dir_ / entry.file, segment, "segment");
@@ -138,22 +138,20 @@ ArchiveReader::ArchiveReader(std::filesystem::path dir,
 }
 
 std::vector<std::uint8_t> ArchiveReader::read_segment_bytes(
-    const ManifestEntry& entry, bool check_manifest_digest) {
+    const ManifestEntry& entry) {
   auto bytes = read_file(dir_ / entry.file, "segment");
-  if (check_manifest_digest) {
-    std::string digest;
-    try {
-      digest = segment_digest_hex(bytes);
-    } catch (const ArchiveError& e) {
-      corrupt_segments_->add(1);
-      throw ArchiveError("segment " + entry.file + ": " + e.what());
-    }
-    if (digest != entry.digest_hex) {
-      corrupt_segments_->add(1);
-      throw ArchiveError("segment " + entry.file +
-                         ": digest does not match manifest (manifest " +
-                         entry.digest_hex + ", file " + digest + ")");
-    }
+  std::string digest;
+  try {
+    digest = segment_digest_hex(bytes);
+  } catch (const ArchiveError& e) {
+    corrupt_segments_->add(1);
+    throw ArchiveError("segment " + entry.file + ": " + e.what());
+  }
+  if (digest != entry.digest_hex) {
+    corrupt_segments_->add(1);
+    throw ArchiveError("segment " + entry.file +
+                       ": digest does not match manifest (manifest " +
+                       entry.digest_hex + ", file " + digest + ")");
   }
   return bytes;
 }
@@ -184,10 +182,10 @@ std::shared_ptr<const census::DailyCensus> ArchiveReader::load_day(
 
   // Read + digest-check + decode happen outside any lock: a slow decode
   // must not block concurrent cache hits on other days.
-  const auto bytes = read_segment_bytes(*entry, /*check_manifest_digest=*/true);
+  const auto bytes = read_segment_bytes(*entry);
   census::DailyCensus census;
   try {
-    census = decode_segment(bytes);
+    census = decode_verified_segment(bytes);
   } catch (const ArchiveError&) {
     corrupt_segments_->add(1);
     throw;
@@ -259,9 +257,8 @@ std::vector<std::string> ArchiveReader::verify() {
   std::vector<std::string> problems;
   for (const auto& entry : manifest_.entries) {
     try {
-      const auto bytes =
-          read_segment_bytes(entry, /*check_manifest_digest=*/true);
-      const auto census = decode_segment(bytes);
+      const auto bytes = read_segment_bytes(entry);
+      const auto census = decode_verified_segment(bytes);
       if (census.day != entry.day) {
         throw ArchiveError("segment " + entry.file + ": holds day " +
                            std::to_string(census.day) + ", manifest says " +

@@ -3,10 +3,11 @@
 // The writer appends one columnar segment per census day, keeps the
 // MANIFEST index consistent (atomic rewrite per append) and persists the
 // resume checkpoint. The reader lazily loads days through a small LRU
-// segment cache, verifies every segment's SHA-256 footer against both the
-// embedded footer and the manifest digest, and bridges to the §4.2.4 CSV
-// publication format in both directions. Everything is instrumented with
-// laces_obs (bytes, compression ratio inputs, cache hits/misses, spans).
+// segment cache, verifies every segment's SHA-256 footer once and then
+// compares the manifest digest with that verified footer, and bridges to
+// the §4.2.4 CSV publication format in both directions. Everything is
+// instrumented with laces_obs (bytes, compression ratio inputs, cache
+// hits/misses, spans).
 #pragma once
 
 #include <atomic>
@@ -118,8 +119,9 @@ class ArchiveReader {
     std::atomic<std::uint64_t> last_use{0};
   };
 
-  std::vector<std::uint8_t> read_segment_bytes(const ManifestEntry& entry,
-                                               bool check_manifest_digest);
+  /// Reads `entry`'s segment, verifies its footer (the one SHA-256 pass)
+  /// and compares the manifest digest with that verified footer.
+  std::vector<std::uint8_t> read_segment_bytes(const ManifestEntry& entry);
 
   std::filesystem::path dir_;
   Manifest manifest_;

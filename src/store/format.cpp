@@ -117,4 +117,11 @@ std::span<const std::uint8_t> checked_payload(
   return payload;
 }
 
+std::string footer_hex(std::span<const std::uint8_t> bytes) {
+  Sha256Digest footer;
+  const auto tail = bytes.last(footer.size());
+  std::copy(tail.begin(), tail.end(), footer.begin());
+  return to_hex(footer);
+}
+
 }  // namespace laces::store

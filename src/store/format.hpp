@@ -61,5 +61,9 @@ void put_sha256_footer(ByteWriter& w);
 /// ArchiveError (naming `what`) on truncation or digest mismatch.
 std::span<const std::uint8_t> checked_payload(
     std::span<const std::uint8_t> bytes, const char* what);
+/// The footer (last 32 bytes) as lowercase hex, without hashing: callers
+/// have just written it or verified it with checked_payload. Requires
+/// at least 32 bytes.
+std::string footer_hex(std::span<const std::uint8_t> bytes);
 
 }  // namespace laces::store

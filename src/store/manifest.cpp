@@ -1,5 +1,7 @@
 #include "store/manifest.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <sstream>
 
@@ -67,18 +69,34 @@ std::string field(const std::string& token, const char* key,
   return token.substr(want.size());
 }
 
-std::uint64_t number_field(const std::string& token, const char* key,
-                           std::size_t line_number) {
+/// Parses a decimal field: digits only (no sign, space or base prefix)
+/// whose value fits T; anything else throws naming the line.
+template <typename T>
+T number_field(const std::string& token, const char* key,
+               std::size_t line_number) {
   const std::string value = field(token, key, line_number);
-  try {
-    std::size_t consumed = 0;
-    const std::uint64_t parsed = std::stoull(value, &consumed);
-    if (consumed != value.size()) throw std::invalid_argument(value);
-    return parsed;
-  } catch (const std::exception&) {
+  T parsed = 0;
+  const char* end = value.data() + value.size();
+  const auto [stop, ec] = std::from_chars(value.data(), end, parsed);
+  if (ec != std::errc() || stop != end) {
     throw ArchiveError("manifest line " + std::to_string(line_number) +
                        ": bad " + key + ": '" + value + "'");
   }
+  return parsed;
+}
+
+/// A segment digest: exactly 64 lowercase hex digits, as to_hex renders.
+std::string digest_field(const std::string& token, std::size_t line_number) {
+  std::string value = field(token, "sha256", line_number);
+  const bool hex = std::all_of(value.begin(), value.end(), [](char c) {
+    return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
+  });
+  if (value.size() != 64 || !hex) {
+    throw ArchiveError("manifest line " + std::to_string(line_number) +
+                       ": bad sha256 (want 64 lowercase hex digits): '" +
+                       value + "'");
+  }
+  return value;
 }
 
 }  // namespace
@@ -106,22 +124,18 @@ Manifest Manifest::parse(const std::string& text) {
       }
     }
     ManifestEntry e;
-    e.day = static_cast<std::uint32_t>(number_field(t[0], "day", line_number));
-    e.degraded = number_field(t[1], "degraded", line_number) != 0;
-    e.record_count =
-        static_cast<std::uint32_t>(number_field(t[2], "records", line_number));
+    e.day = number_field<std::uint32_t>(t[0], "day", line_number);
+    e.degraded =
+        number_field<std::uint64_t>(t[1], "degraded", line_number) != 0;
+    e.record_count = number_field<std::uint32_t>(t[2], "records", line_number);
     e.anycast_detected =
-        static_cast<std::uint32_t>(number_field(t[3], "anycast", line_number));
-    e.gcd_confirmed =
-        static_cast<std::uint32_t>(number_field(t[4], "gcd", line_number));
-    e.segment_bytes = number_field(t[5], "segment_bytes", line_number);
-    e.csv_bytes = number_field(t[6], "csv_bytes", line_number);
+        number_field<std::uint32_t>(t[3], "anycast", line_number);
+    e.gcd_confirmed = number_field<std::uint32_t>(t[4], "gcd", line_number);
+    e.segment_bytes =
+        number_field<std::uint64_t>(t[5], "segment_bytes", line_number);
+    e.csv_bytes = number_field<std::uint64_t>(t[6], "csv_bytes", line_number);
     e.file = field(t[7], "file", line_number);
-    e.digest_hex = field(t[8], "sha256", line_number);
-    if (e.digest_hex.size() != 64) {
-      throw ArchiveError("manifest line " + std::to_string(line_number) +
-                         ": bad sha256 length");
-    }
+    e.digest_hex = digest_field(t[8], line_number);
     if (manifest.find(e.day) != nullptr) {
       throw ArchiveError("manifest line " + std::to_string(line_number) +
                          ": duplicate day " + std::to_string(e.day));

@@ -108,8 +108,9 @@ std::vector<std::uint8_t> encode_segment(const census::DailyCensus& census) {
   return w.take();
 }
 
-census::DailyCensus decode_segment(std::span<const std::uint8_t> bytes) {
-  const auto payload = checked_payload(bytes, "segment");
+namespace {
+
+census::DailyCensus decode_payload(std::span<const std::uint8_t> payload) {
   try {
     ByteReader r(payload);
     if (r.u32() != kMagic) throw ArchiveError("segment: bad magic");
@@ -199,9 +200,24 @@ census::DailyCensus decode_segment(std::span<const std::uint8_t> bytes) {
   }
 }
 
+}  // namespace
+
+census::DailyCensus decode_segment(std::span<const std::uint8_t> bytes) {
+  return decode_payload(checked_payload(bytes, "segment"));
+}
+
 std::string segment_digest_hex(std::span<const std::uint8_t> bytes) {
-  const auto payload = checked_payload(bytes, "segment");
-  return to_hex(Sha256::hash(payload));
+  checked_payload(bytes, "segment");
+  return footer_hex(bytes);
+}
+
+census::DailyCensus decode_verified_segment(
+    std::span<const std::uint8_t> bytes) {
+  if (bytes.size() < sizeof(Sha256Digest)) {
+    throw ArchiveError("segment: truncated (" + std::to_string(bytes.size()) +
+                       " bytes)");
+  }
+  return decode_payload(bytes.first(bytes.size() - sizeof(Sha256Digest)));
 }
 
 }  // namespace laces::store

@@ -27,9 +27,16 @@ std::vector<std::uint8_t> encode_segment(const census::DailyCensus& census);
 /// consistency). Throws ArchiveError on any corruption.
 census::DailyCensus decode_segment(std::span<const std::uint8_t> bytes);
 
-/// The digest stored in (and checked against) the segment footer: SHA-256
-/// of everything before the footer. This is what the manifest records.
+/// Verifies the segment footer (one SHA-256 pass over the payload) and
+/// returns it as hex: the digest the manifest records. Throws ArchiveError
+/// on truncation or a footer mismatch.
 std::string segment_digest_hex(std::span<const std::uint8_t> bytes);
+
+/// decode_segment without the footer check, for bytes whose footer
+/// segment_digest_hex has already verified (the archive reader hashes each
+/// segment once). Still rejects every structural defect.
+census::DailyCensus decode_verified_segment(
+    std::span<const std::uint8_t> bytes);
 
 /// The publication projection of a census: what a segment (like the CSV
 /// format) preserves. decode_segment(encode_segment(x)) compares equal to

@@ -1,7 +1,10 @@
 // Self-contained SHA-256 and HMAC-SHA256.
 //
-// Used to authenticate Orchestrator<->Worker channel frames (paper R8:
-// "secure inter-component communication"). No external crypto dependency.
+// Used to authenticate every control-channel, serve and mesh frame (paper
+// R8: "secure inter-component communication") and for the archive's
+// SHA-256 footers. No external crypto dependency: blocks are compressed
+// with the x86 SHA extensions where CPUID reports them, else in portable
+// C++ (util/sha256_kernel.hpp).
 #pragma once
 
 #include <array>
@@ -16,10 +19,22 @@ namespace laces {
 /// 32-byte SHA-256 digest.
 using Sha256Digest = std::array<std::uint8_t, 32>;
 
+namespace sha256_detail {
+/// Compresses `count` consecutive 64-byte blocks into `state`.
+using Compress = void (*)(std::uint32_t* state, const std::uint8_t* blocks,
+                          std::size_t count);
+struct Access;  // util/sha256_kernel.hpp
+}  // namespace sha256_detail
+
+/// The block-compression kernel this process hashes with: "x86-sha" when
+/// CPUID reports the x86 SHA extensions, else "portable". Chosen once per
+/// process from CPUID alone; every digest and MAC is the same either way.
+std::string_view sha256_backend();
+
 /// Incremental SHA-256 (FIPS 180-4).
 class Sha256 {
  public:
-  Sha256() { reset(); }
+  Sha256();
 
   void reset();
   void update(std::span<const std::uint8_t> data);
@@ -36,8 +51,12 @@ class Sha256 {
   static Sha256Digest hash(std::string_view s);
 
  private:
-  void process_block(const std::uint8_t* block);
+  friend struct sha256_detail::Access;
+  explicit Sha256(sha256_detail::Compress compress) : compress_(compress) {
+    reset();
+  }
 
+  sha256_detail::Compress compress_;
   std::array<std::uint32_t, 8> state_{};
   std::array<std::uint8_t, 64> buffer_{};
   std::size_t buffered_ = 0;

@@ -196,6 +196,44 @@ TEST(StoreArchive, CorruptSegmentIsReportedNotLoaded) {
   EXPECT_NE(problems[0].find(segment_file_name(2)), std::string::npos);
 }
 
+// A swapped-in segment that is itself valid (good footer, same day) passes
+// the footer check; only the manifest digest comparison catches it.
+TEST(StoreArchive, ValidSegmentSwappedInIsCaughtByManifestDigest) {
+  const auto dir = fresh_dir("archive_swapped");
+  {
+    ArchiveWriter writer(dir);
+    writer.append(make_day(1));
+    writer.append(make_day(2));
+  }
+  const auto victim = dir / segment_file_name(2);
+  const auto swapped = encode_segment(make_day(2, /*spread=*/7));
+  ASSERT_NE(swapped, slurp(victim));
+  ASSERT_EQ(decode_segment(swapped).day, 2u);
+  std::ofstream(victim, std::ios::binary | std::ios::trunc)
+      .write(reinterpret_cast<const char*>(swapped.data()),
+             static_cast<std::streamsize>(swapped.size()));
+
+  auto& corrupt =
+      obs::Registry::global().counter("laces_store_corrupt_segments_total");
+  ArchiveReader reader(dir);
+  EXPECT_NO_THROW(reader.load_day(1));
+  const auto before = corrupt.value();
+  try {
+    reader.load_day(2);
+    FAIL() << "swapped segment loaded silently";
+  } catch (const ArchiveError& e) {
+    EXPECT_NE(std::string(e.what()).find(segment_file_name(2)),
+              std::string::npos)
+        << "error does not name the swapped file: " << e.what();
+  }
+  EXPECT_GT(corrupt.value(), before);
+
+  const auto problems = reader.verify();
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_NE(problems[0].find(segment_file_name(2)), std::string::npos)
+      << problems[0];
+}
+
 TEST(StoreArchive, VerifyDetectsSizeMismatch) {
   const auto dir = fresh_dir("archive_size");
   {
@@ -242,6 +280,33 @@ TEST(StoreArchive, ManifestRoundTripsAndNamesBadLines) {
   } catch (const ArchiveError& e) {
     EXPECT_NE(std::string(e.what()).find("line"), std::string::npos)
         << e.what();
+  }
+
+  // Numbers that would wrap, truncate or carry a sign, and a digest that is
+  // not hex, are rejected naming their line (line 2, after the header).
+  const std::string header = text.substr(0, text.find('\n') + 1);
+  const std::string good =
+      "day=4 degraded=0 records=1 anycast=1 gcd=0 segment_bytes=10 "
+      "csv_bytes=20 file=day-00004.seg sha256=" +
+      std::string(64, 'b');
+  EXPECT_NO_THROW(Manifest::parse(header + good + "\n"));
+  const std::pair<std::string, std::string> bad_values[] = {
+      {"day=4", "day=-1"},
+      {"day=4", "day=4294967297"},
+      {"day=4", "day=+7"},
+      {"records=1", "records=-5"},
+      {"sha256=" + std::string(64, 'b'), "sha256=" + std::string(64, 'z')},
+  };
+  for (const auto& [from, to] : bad_values) {
+    auto line = good;
+    line.replace(line.find(from), from.size(), to);
+    try {
+      Manifest::parse(header + line + "\n");
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const ArchiveError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+    }
   }
 }
 
