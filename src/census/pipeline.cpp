@@ -99,6 +99,11 @@ Pipeline::Pipeline(topo::SimNetwork& network, core::Session& session,
   register_metrics();
 }
 
+Pipeline::~Pipeline() {
+  auto& tracer = obs::Tracer::global();
+  if (tracer.clock() == &network_.events()) tracer.set_clock(nullptr);
+}
+
 const hitlist::Hitlist& Pipeline::ping_hitlist(net::IpVersion version) const {
   return version == net::IpVersion::kV4 ? ping_v4_ : ping_v6_;
 }

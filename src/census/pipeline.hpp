@@ -72,6 +72,12 @@ class Pipeline {
   Pipeline(topo::SimNetwork& network, core::Session& session,
            platform::UnicastPlatform ark_v4, platform::UnicastPlatform ark_v6,
            PipelineConfig config = {});
+  /// Detaches the global tracer's clock if it still reads this network's
+  /// queue (run_day points it there), so no later span reads a destroyed
+  /// queue.
+  ~Pipeline();
+  Pipeline(const Pipeline&) = delete;
+  Pipeline& operator=(const Pipeline&) = delete;
 
   /// Run the full pipeline for one day.
   DailyCensus run_day(std::uint32_t day);

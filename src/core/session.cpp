@@ -46,6 +46,11 @@ Session::Session(topo::SimNetwork& network,
   network_.run_events();
 }
 
+Session::~Session() {
+  auto& tracer = obs::Tracer::global();
+  if (tracer.clock() == &network_.events()) tracer.set_clock(nullptr);
+}
+
 void Session::reconnect_worker(std::size_t index) {
   auto [worker_end, orch_end] =
       make_channel_pair(network_.events(), options_.key, options_.key,

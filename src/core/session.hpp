@@ -31,6 +31,9 @@ class Session {
  public:
   Session(topo::SimNetwork& network, const platform::AnycastPlatform& platform,
           SessionOptions options = {});
+  /// Detaches the global tracer's clock if it still reads this network's
+  /// queue, so no later span reads a destroyed queue.
+  ~Session();
 
   /// Run one measurement to completion and return the aggregated results.
   MeasurementResults run(const MeasurementSpec& spec,

@@ -18,6 +18,11 @@ using serve::ProtocolError;
 /// after the last archived day without knowing how it would have chunked.
 constexpr std::uint32_t kDayDone = 0xffffffff;
 
+std::vector<std::uint8_t> error_body(ErrorCode code, std::string message) {
+  return serve::encode_response(
+      serve::Response{serve::ErrorResponse{code, std::move(message), 0}});
+}
+
 }  // namespace
 
 Relay::Relay(RelayConfig config, serve::Server* server,
@@ -56,7 +61,7 @@ Relay::~Relay() {
 }
 
 void Relay::attach_publisher(store::ArchiveWriter& writer) {
-  if (archive_dir_.empty()) archive_dir_ = writer.dir();
+  archive_dir_ = writer.dir();
   {
     std::lock_guard lk(mu_);
     publisher_attached_ = true;
@@ -79,31 +84,28 @@ void Relay::attach_publisher(store::ArchiveWriter& writer) {
 
 // --- framing helpers ---
 
-std::vector<std::uint8_t> Relay::mesh_frame(const MeshMessage& message,
-                                            std::uint64_t request_id) const {
-  return serve::encode_frame(config_.key, FrameKind::kMesh, request_id,
+std::vector<std::uint8_t> Relay::mesh_frame(const MeshMessage& message) const {
+  return serve::encode_frame(config_.key, FrameKind::kMesh, 0,
                              encode_mesh(message),
                              serve::kMeshProtocolVersion);
 }
 
-std::vector<std::uint8_t> Relay::error_frame(std::uint64_t request_id,
-                                             ErrorCode code,
-                                             std::string message) const {
-  const auto body = serve::encode_response(
-      serve::Response{serve::ErrorResponse{code, std::move(message), 0}});
+std::vector<std::uint8_t> Relay::response_frame(
+    std::uint64_t request_id, const std::vector<std::uint8_t>& body) const {
   return serve::encode_frame(config_.key, FrameKind::kResponse, request_id,
                              body);
 }
 
-void Relay::send_all(Relay* self, std::vector<Outgoing>& out) {
-  for (Outgoing& o : out) {
-    if (o.action) {
-      o.action();
-    } else if (o.to) {
-      o.to->deliver(self, o.frame);
-    }
+std::optional<MeshMessage> Relay::open(
+    std::span<const std::uint8_t> frame) const {
+  try {
+    const serve::Frame f =
+        serve::decode_frame(config_.key, frame, config_.version_max);
+    if (f.kind != FrameKind::kMesh) return std::nullopt;
+    return decode_mesh(f.payload);
+  } catch (const ProtocolError&) {
+    return std::nullopt;
   }
-  out.clear();
 }
 
 Relay::Peer* Relay::find_peer(Relay* remote) {
@@ -111,15 +113,6 @@ Relay::Peer* Relay::find_peer(Relay* remote) {
     if (p.remote == remote) return &p;
   }
   return nullptr;
-}
-
-void Relay::note_seen_forward(std::uint64_t forward_id) {
-  seen_forwards_.insert(forward_id);
-  seen_order_.push_back(forward_id);
-  while (seen_order_.size() > config_.seen_forwards) {
-    seen_forwards_.erase(seen_order_.front());
-    seen_order_.pop_front();
-  }
 }
 
 // --- handshake ---
@@ -205,12 +198,13 @@ void Relay::finish_connect(Relay* remote, const Welcome& welcome) {
 
 void Relay::maybe_subscribe_to(Relay* remote) {
   std::vector<std::uint8_t> frame;
+  std::uint64_t node = 0;
   {
     std::lock_guard lk(mu_);
     Peer* p = find_peer(remote);
     if (!p || !p->has_feed) return;
     if (publisher_attached_ || upstream_active_) return;
-    upstream_node_ = p->node_id;
+    node = upstream_node_ = p->node_id;
     upstream_active_ = true;
     if (upstream_sub_id_ == 0) upstream_sub_id_ = next_sub_++;
     // Resume from our cursor when we have one — the reconnection path.
@@ -218,7 +212,12 @@ void Relay::maybe_subscribe_to(Relay* remote) {
     frame = mesh_frame(MeshMessage{std::move(sub)});
     ++frames_sent_;
   }
-  remote->deliver(this, frame);
+  // The backlog has been replayed to us by the time the SubAck returns.
+  const auto reply = open(remote->request(this, frame));
+  const auto* ack = reply ? std::get_if<SubAck>(&*reply) : nullptr;
+  if (ack != nullptr && ack->ok) return;
+  std::lock_guard lk(mu_);
+  if (upstream_node_ == node) upstream_active_ = false;  // refused
 }
 
 void Relay::drop_peer(Relay* remote) {
@@ -239,9 +238,6 @@ void Relay::drop_peer(Relay* remote) {
 }
 
 ConnectResult connect(Relay& a, Relay& b) {
-  if (&a == &b || a.node_id() == b.node_id()) {
-    return {false, ErrorCode::kBadRequest, "cannot peer with self", 0};
-  }
   Hello hello;
   {
     std::lock_guard lk(a.mu_);
@@ -285,122 +281,82 @@ void disconnect(Relay& a, Relay& b) {
 // --- delivery & dispatch ---
 
 bool Relay::deliver(Relay* from, std::span<const std::uint8_t> frame) {
-  serve::Frame f;
-  try {
-    f = serve::decode_frame(config_.key, frame, config_.version_max);
-  } catch (const ProtocolError&) {
-    return false;
+  const auto message = open(frame);
+  const auto* chunk = message ? std::get_if<DeltaChunk>(&*message) : nullptr;
+  if (chunk == nullptr) return false;
+  std::lock_guard lk(mu_);
+  Peer* peer = find_peer(from);
+  if (!peer) return false;  // stale frame after disconnect
+  handle_delta(*peer, *chunk);
+  return true;
+}
+
+std::vector<std::uint8_t> Relay::request(Relay* from,
+                                         std::span<const std::uint8_t> frame) {
+  auto message = open(frame);
+  if (!message) return {};
+  if (auto* fwd = std::get_if<Forward>(&*message)) {
+    return handle_forward(from, std::move(*fwd));
   }
-  if (f.kind != FrameKind::kMesh) return false;
-  MeshMessage message;
-  try {
-    message = decode_mesh(f.payload);
-  } catch (const ProtocolError&) {
-    return false;
-  }
-  std::vector<Outgoing> out;
-  bool ok = true;
+  auto* sub = std::get_if<Subscribe>(&*message);
+  if (sub == nullptr) return {};
+  std::lock_guard lk(mu_);
+  Peer* peer = find_peer(from);
+  if (!peer) return {};
+  ++frames_sent_;
+  return mesh_frame(MeshMessage{handle_subscribe(*peer, std::move(*sub))});
+}
+
+std::vector<std::uint8_t> Relay::handle_forward(Relay* from, Forward fwd) {
+  const bool exhausted = server_ == nullptr && fwd.hops_left == 0;
   {
     std::lock_guard lk(mu_);
     Peer* peer = find_peer(from);
-    if (!peer) return false;  // stale frame after disconnect
-    std::visit(
-        [&](auto& m) {
-          using T = std::decay_t<decltype(m)>;
-          if constexpr (std::is_same_v<T, Forward>) {
-            handle_forward(*peer, std::move(m), out);
-          } else if constexpr (std::is_same_v<T, ForwardReply>) {
-            handle_forward_reply(std::move(m), out);
-          } else if constexpr (std::is_same_v<T, Subscribe>) {
-            handle_subscribe(*peer, std::move(m), out);
-          } else if constexpr (std::is_same_v<T, DeltaChunk>) {
-            ok = handle_delta(*peer, m);
-          } else if constexpr (std::is_same_v<T, SubAck>) {
-            if (!m.ok && upstream_active_ &&
-                peer->node_id == upstream_node_) {
-              upstream_active_ = false;  // publisher refused the resume
-            }
-          } else if constexpr (std::is_same_v<T, DeltaAck>) {
-            // Acks are the synchronous deliver() return value in this
-            // transport; a wire ack is accepted but redundant.
-          } else {
-            ok = false;  // handshake messages are out-of-band
-          }
-        },
-        message);
+    if (!peer) return {};
+    ++forwards_seen_;
+    ++peer->forwards_received;
+    ++frames_sent_;  // the ForwardReply returned below
+    if (server_) ++forwards_answered_;
+    if (exhausted) ++forward_dups_suppressed_;
   }
-  send_all(this, out);
-  return ok;
-}
-
-void Relay::handle_forward(Peer& from, Forward fwd,
-                           std::vector<Outgoing>& out) {
-  ++forwards_seen_;
-  ++from.forwards_received;
-  if (seen_forwards_.contains(fwd.forward_id)) {
-    ++forward_dups_suppressed_;
-    return;
-  }
-  note_seen_forward(fwd.forward_id);
-  forwards_counter_->add();
-  obs::FlightRecorder::global().record(obs::FrEvent::kForwarded, 0,
-                                       fwd.forward_id, fwd.hops_left);
+  std::vector<std::uint8_t> response;
   if (server_) {
-    // Answer from the co-located server (cache or archive) off-lock and
-    // reply straight to whoever handed us the forward.
-    ++forwards_answered_;
-    ++frames_sent_;
-    Relay* back = from.remote;
-    out.push_back(Outgoing{
-        nullptr,
-        {},
-        [this, back, id = fwd.forward_id, request = std::move(fwd.request)] {
-          auto body = answer_locally(request);
-          back->deliver(this, mesh_frame(MeshMessage{
-                                  ForwardReply{id, std::move(body)}}));
-        }});
-    return;
+    response = answer_locally(fwd.request);
+  } else if (exhausted) {
+    // Only a subscription cycle climbs this far (see the header comment).
+    response = error_body(ErrorCode::kUnreachable,
+                          "forward hop budget exhausted");
+  } else {
+    --fwd.hops_left;
+    response = ask_upstream(fwd);
   }
-  if (fwd.hops_left == 0) return;  // dead end; the origin times out
-  forward_routes_[fwd.forward_id] = from.remote;
-  Forward next = std::move(fwd);
-  --next.hops_left;
-  const auto frame = mesh_frame(MeshMessage{std::move(next)});
-  for (Peer& p : peers_) {
-    if (p.remote == from.remote) continue;
-    ++p.forwards_sent;
-    ++frames_sent_;
-    out.push_back(Outgoing{p.remote, frame, {}});
-  }
+  return mesh_frame(
+      MeshMessage{ForwardReply{fwd.forward_id, std::move(response)}});
 }
 
-void Relay::handle_forward_reply(ForwardReply reply,
-                                 std::vector<Outgoing>& out) {
-  if (auto it = pending_.find(reply.forward_id); it != pending_.end()) {
-    // First reply wins; the waiter is detached so later replies are
-    // recognizably stale.
-    auto waiter = it->second;
-    pending_.erase(it);
-    out.push_back(Outgoing{
-        nullptr, {}, [waiter, response = std::move(reply.response)] {
-          std::lock_guard wl(waiter->mu);
-          waiter->done = true;
-          waiter->response = response;
-          waiter->cv.notify_all();
-        }});
-    return;
-  }
-  if (auto it = forward_routes_.find(reply.forward_id);
-      it != forward_routes_.end()) {
-    Relay* back = it->second;
-    forward_routes_.erase(it);
-    if (find_peer(back)) {
-      ++frames_sent_;
-      out.push_back(
-          Outgoing{back, mesh_frame(MeshMessage{std::move(reply)}), {}});
+std::vector<std::uint8_t> Relay::ask_upstream(const Forward& fwd) {
+  Relay* upstream = nullptr;
+  {
+    std::lock_guard lk(mu_);
+    for (Peer& p : peers_) {
+      if (upstream_active_ && p.node_id == upstream_node_) {
+        upstream = p.remote;
+        ++p.forwards_sent;
+        ++frames_sent_;
+      }
     }
   }
-  // Otherwise stale: a reply already went back along this route.
+  std::optional<MeshMessage> reply;
+  if (upstream != nullptr) {
+    forwards_counter_->add();
+    obs::FlightRecorder::global().record(obs::FrEvent::kForwarded, 0,
+                                         fwd.forward_id, fwd.hops_left);
+    reply = open(upstream->request(this, mesh_frame(MeshMessage{fwd})));
+  }
+  if (auto* r = reply ? std::get_if<ForwardReply>(&*reply) : nullptr) {
+    return std::move(r->response);
+  }
+  return error_body(ErrorCode::kUnreachable, "no upstream relay answered");
 }
 
 std::vector<std::uint8_t> Relay::answer_locally(
@@ -411,8 +367,8 @@ std::vector<std::uint8_t> Relay::answer_locally(
   try {
     return serve::decode_frame(config_.key, response).payload;
   } catch (const ProtocolError&) {
-    return serve::encode_response(serve::Response{serve::ErrorResponse{
-        ErrorCode::kBadRequest, "relay could not decode local answer", 0}});
+    return error_body(ErrorCode::kBadRequest,
+                      "relay could not decode local answer");
   }
 }
 
@@ -421,59 +377,32 @@ std::vector<std::uint8_t> Relay::query(std::span<const std::uint8_t> frame) {
   try {
     f = serve::decode_frame(config_.key, frame);
   } catch (const ProtocolError&) {
-    return error_frame(0, ErrorCode::kBadRequest, "bad request frame");
+    return response_frame(
+        0, error_body(ErrorCode::kBadRequest, "bad request frame"));
   }
   if (f.kind != FrameKind::kRequest) {
-    return error_frame(f.request_id, ErrorCode::kBadRequest,
-                       "not a request frame");
+    return response_frame(f.request_id, error_body(ErrorCode::kBadRequest,
+                                                   "not a request frame"));
   }
   try {
     (void)serve::decode_request(f.payload);
   } catch (const ProtocolError&) {
-    return error_frame(f.request_id, ErrorCode::kBadRequest,
-                       "malformed request body");
+    return response_frame(f.request_id, error_body(ErrorCode::kBadRequest,
+                                                   "malformed request body"));
   }
   if (server_) {
     return conn_->call(std::vector<std::uint8_t>(frame.begin(), frame.end()));
   }
-  std::shared_ptr<ForwardWaiter> waiter;
-  std::vector<Outgoing> out;
   std::uint64_t forward_id = 0;
   {
     std::lock_guard lk(mu_);
-    if (peers_.empty()) {
-      return error_frame(f.request_id, ErrorCode::kUnreachable,
-                         "no peers connected");
-    }
     forward_id =
         (config_.node_id << 48) | (next_forward_++ & 0xffffffffffffULL);
-    note_seen_forward(forward_id);  // our own flood may cycle back
-    waiter = std::make_shared<ForwardWaiter>();
-    pending_[forward_id] = waiter;
-    const Forward fwd{forward_id, config_.node_id, config_.hop_limit,
-                      f.payload};
-    const auto mesh = mesh_frame(MeshMessage{fwd});
-    for (Peer& p : peers_) {
-      ++p.forwards_sent;
-      ++frames_sent_;
-      out.push_back(Outgoing{p.remote, mesh, {}});
-    }
-    forwards_counter_->add();
-    obs::FlightRecorder::global().record(obs::FrEvent::kForwarded, 0,
-                                         forward_id, config_.hop_limit);
   }
-  send_all(this, out);
-  std::unique_lock wl(waiter->mu);
-  const bool answered = waiter->cv.wait_for(wl, config_.forward_timeout,
-                                            [&] { return waiter->done; });
-  if (!answered) {
-    std::lock_guard lk(mu_);
-    pending_.erase(forward_id);
-    return error_frame(f.request_id, ErrorCode::kUnreachable,
-                       "no relay in reach answered");
-  }
-  return serve::encode_frame(config_.key, FrameKind::kResponse, f.request_id,
-                             waiter->response);
+  return response_frame(
+      f.request_id, ask_upstream(Forward{forward_id, config_.node_id,
+                                         kForwardHopBudget,
+                                         std::move(f.payload)}));
 }
 
 // --- pub/sub ---
@@ -555,10 +484,9 @@ bool Relay::replay_to(Subscription& sub) {
   const auto& entries = reader.manifest().entries;
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const std::uint32_t day = entries[i].day;
-    if (have_cursor) {
-      if (day < cursor.day) continue;
-      if (day == cursor.day && cursor.seq == kDayDone) continue;
-    }
+    // Days before the cursor's are skipped unread; push_to drops the
+    // cursor day's chunks the subscriber already has.
+    if (have_cursor && day < cursor.day) continue;
     const auto prev = i > 0 ? reader.load_day(entries[i - 1].day) : nullptr;
     const auto cur = reader.load_day(day);
     const auto chunks = chunk_delta(store::compute_day_delta(prev.get(), *cur),
@@ -568,25 +496,16 @@ bool Relay::replay_to(Subscription& sub) {
   return true;
 }
 
-void Relay::handle_subscribe(Peer& from, Subscribe sub,
-                             std::vector<Outgoing>& out) {
-  const auto ack = [&](bool ok, std::string message) {
-    ++frames_sent_;
-    out.push_back(Outgoing{from.remote,
-                           mesh_frame(MeshMessage{SubAck{
-                               sub.subscription_id, ok, std::move(message)}}),
-                           {}});
-  };
+SubAck Relay::handle_subscribe(Peer& from, Subscribe sub) {
+  const std::uint64_t id = sub.subscription_id;
   if (upstream_active_ && from.node_id == upstream_node_) {
     // Our own upstream subscribing to us would close a feed cycle (and a
     // lock cycle with it) — the subscription graph must stay a tree.
-    ack(false, "subscription loop refused");
-    return;
+    return SubAck{id, false, "subscription loop refused"};
   }
   Subscription* s = nullptr;
   for (Subscription& existing : subs_) {
-    if (existing.peer == from.remote &&
-        existing.id == sub.subscription_id) {
+    if (existing.peer == from.remote && existing.id == id) {
       s = &existing;
       break;
     }
@@ -601,24 +520,21 @@ void Relay::handle_subscribe(Peer& from, Subscribe sub,
   s->spec = SubscriptionSpec{sub.family, sub.priority, std::move(sub.prefixes)};
   s->started = sub.resume;
   if (sub.resume) s->acked = sub.cursor;
-  if (replay_to(*s)) {
-    ack(true, "");
-  } else {
-    ack(false, "cursor predates the delta log");
-    std::erase_if(subs_, [&](const Subscription& x) {
-      return x.peer == from.remote && x.id == sub.subscription_id;
-    });
-  }
+  if (replay_to(*s)) return SubAck{id, true, ""};
+  std::erase_if(subs_, [&](const Subscription& x) {
+    return x.peer == from.remote && x.id == id;
+  });
+  return SubAck{id, false, "cursor predates the delta log"};
 }
 
-bool Relay::handle_delta(Peer& from, const DeltaChunk& chunk) {
+void Relay::handle_delta(Peer& from, const DeltaChunk& chunk) {
   ++from.deltas_received;
   const Cursor c{chunk.day, chunk.seq};
   if (feed_started_ && c <= latest_) {
-    // At-or-below our cursor: a replay overlap. Returning true acks it so
-    // the upstream cursor still advances.
+    // At-or-below our cursor: a replay overlap, still acked by deliver()
+    // so the upstream cursor advances.
     ++duplicate_deltas_;
-    return true;
+    return;
   }
   feed_started_ = true;
   latest_ = c;
@@ -629,7 +545,6 @@ bool Relay::handle_delta(Peer& from, const DeltaChunk& chunk) {
     // cached unknown-day errors.
     server_->cache_mut().clear();
   }
-  return true;
 }
 
 void Relay::publish_census(const census::DailyCensus& census) {
@@ -654,8 +569,7 @@ void Relay::publish_census(const census::DailyCensus& census) {
 }
 
 std::uint64_t Relay::subscribe_local(
-    const SubscriptionSpec& spec, std::function<void(const DeltaChunk&)> sink,
-    std::optional<Cursor> cursor) {
+    const SubscriptionSpec& spec, std::function<void(const DeltaChunk&)> sink) {
   std::lock_guard lk(mu_);
   subs_.emplace_back();
   Subscription& s = subs_.back();
@@ -663,10 +577,6 @@ std::uint64_t Relay::subscribe_local(
   s.subscriber = "local";
   s.spec = spec;
   s.sink = std::move(sink);
-  if (cursor) {
-    s.started = true;
-    s.acked = *cursor;
-  }
   replay_to(s);
   return s.id;
 }
@@ -732,7 +642,7 @@ serve::MeshStatsResponse Relay::stats() const {
     info.prefix_count = static_cast<std::uint32_t>(sub.spec.prefixes.size());
     if (sub.started) {
       info.acked_day = sub.acked.day;
-      info.acked_seq = sub.acked.seq == kDayDone ? 0 : sub.acked.seq;
+      info.acked_seq = sub.acked.seq;
     }
     if (feed_started_) {
       const std::uint32_t base = sub.started ? sub.acked.day : 0;
@@ -751,10 +661,8 @@ CensusFollower::CensusFollower(Relay& relay, SubscriptionSpec spec)
     : relay_(relay) {
   sub_id_ = relay_.subscribe_local(spec, [this](const DeltaChunk& chunk) {
     std::lock_guard lk(mu_);
-    const Cursor c{chunk.day, chunk.seq};
-    if (started_ && c <= cursor_) return;  // replay overlap
-    started_ = true;
-    cursor_ = c;
+    // The relay hands each (day, seq) over once, in order.
+    cursor_ = Cursor{chunk.day, chunk.seq};
     follower_.apply(to_delta(chunk));
     if (chunk.last) days_[chunk.day] = follower_.render();
   });

@@ -9,47 +9,55 @@
 //               previous one (store::compute_day_delta), chunked, and
 //               pushed to subscribers. The origin replays arbitrarily old
 //               cursors from the archive itself.
-//   server      a co-located serve::Server answers forwarded queries from
-//               its cache or archive, and the relay registers itself as
-//               the server's MeshStats provider. Day commits clear the
-//               server's response cache (positive and negative) — a new
-//               day changes summary/stability answers and un-falsifies
-//               cached unknown-day errors.
-//   relay       everything else: forwards client queries into the mesh
-//               (flood + hop limit + seen-id dedup, first reply wins),
-//               re-publishes its upstream feed to downstream subscribers
-//               from a bounded in-memory delta log, and keeps per-peer /
-//               per-subscription counters for `laces stat`.
+//   server      a co-located serve::Server answers client and forwarded
+//               queries from its cache or archive, and the relay registers
+//               itself as the server's MeshStats provider. Day commits
+//               clear the server's response cache (positive and negative)
+//               — a new day changes summary/stability answers and
+//               un-falsifies cached unknown-day errors.
+//   relay       everything else: asks its feed upstream to answer client
+//               queries, re-publishes its upstream feed to downstream
+//               subscribers from a bounded in-memory delta log, and keeps
+//               per-peer / per-subscription counters for `laces stat`.
 //
-// Transport is in-process: peers hold pointers to each other and deliver
-// signed frames by direct call. Two delivery disciplines coexist:
+// The mesh has one routing structure: the subscription tree. A feed-less
+// relay subscribes to the first peer that has a feed and keeps that
+// single upstream. Deltas flow down the tree edges; queries flow up them
+// until a relay with a server answers.
 //
-//   deltas      flow *synchronously down the subscription tree*: a push
-//               calls the subscriber's deliver() while holding the
-//               pusher's lock, so every subscriber sees its feed in exact
-//               (day, seq) order and a true return IS the ack (the
-//               publisher advances the subscription cursor on it — no
-//               ack frame can be lost or reordered). The lock chain
-//               follows tree edges parent -> child only; subscription
-//               edges MUST form a tree (a relay keeps a single upstream,
-//               and a Subscribe from one's own upstream is refused), or
-//               the chain would deadlock.
-//   everything  else (forwards, replies, handshake, SubAck) goes through
-//               an outbox: lock, mutate, build outbox, unlock, send — a
-//               relay never calls a peer while holding its own mutex, so
-//               arbitrary (cyclic) forwarding topologies are safe.
+// Transport is in-process: peers hold pointers to each other and hand
+// over signed frames by direct call. Two delivery disciplines coexist:
 //
-// Feed invariants the tests pin:
+//   down        deliver(): a delta push calls the subscriber's deliver()
+//               while holding the pusher's lock, so every subscriber sees
+//               its feed in exact (day, seq) order and a true return IS
+//               the ack (the publisher advances the subscription cursor on
+//               it — no ack frame can be lost or reordered). The lock
+//               chain follows tree edges parent -> child only.
+//   up          request(): a Forward or Subscribe is a call whose return
+//               value is the ForwardReply or SubAck, as accept_hello()
+//               returns Welcome or Reject. The caller holds no lock while
+//               it waits. A Forward's callee locks only to count; a
+//               Subscribe's callee replays the backlog down to the caller
+//               under its own lock, parent -> child like any push.
+//
+// Cyclic meshes: peering may form any graph, but subscriptions are meant
+// to form a tree. On a cycle a push would deadlock on its own lock chain
+// and a query would circle. A relay keeps one upstream and refuses a
+// Subscribe from that upstream, which rules out two-relay cycles. Longer
+// cycles can still form when a subtree loses its upstream and re-peers
+// inside itself, so a query carries a hop budget (kForwardHopBudget) and
+// such a cycle answers it with kUnreachable.
+//
+// Invariants the tests pin:
 //   - a subscriber that joined at day 0 and applied every chunk renders
 //     any completed day byte-identically to census::write_census;
 //   - disconnect/reconnect resumes from the subscriber's cursor with no
 //     duplicate and no lost chunk (dedup is (day, seq) <= latest);
-//   - on a cyclic mesh every forwarded request is answered exactly once
-//     and total forwarded frames stay bounded by hop_limit x links.
+//   - every query is answered exactly once — one call goes up per hop,
+//     one return comes down — for 2 mesh frames per hop.
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <filesystem>
@@ -59,7 +67,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "mesh/wire.hpp"
@@ -81,20 +88,18 @@ struct RelayConfig {
   /// kVersionMismatch — the version-skew regime in relay form.
   std::uint8_t version_min = serve::kProtocolVersionMin;
   std::uint8_t version_max = serve::kProtocolVersionMax;
-  /// Forward flood radius. Each relay re-floods a given forward id at
-  /// most once (seen-id dedup), so forwarded frames stay bounded by
-  /// hop_limit x links regardless of cycles.
-  std::uint8_t hop_limit = 4;
   /// Rows (upserts + removals) per delta chunk.
   std::size_t max_rows_per_chunk = 2048;
   /// Bounded replay log (chunks). A cursor older than the log resorts to
   /// the archive (origin) or a failed SubAck (pure relay).
   std::size_t delta_log_chunks = 4096;
-  /// Bounded seen-forward-id dedup window.
-  std::size_t seen_forwards = 4096;
-  /// How long a forwarded query waits for the mesh before kUnreachable.
-  std::chrono::milliseconds forward_timeout{250};
 };
+
+/// Hops a client query's Forward may climb: it starts here and each relay
+/// that passes it up spends one. A query from depth d of a tree spends
+/// fewer than d, so the budget only binds on a subscription cycle (see
+/// the header). 255 is the most the wire's hops_left byte holds.
+inline constexpr std::uint8_t kForwardHopBudget = 255;
 
 /// Handshake outcome of connect().
 struct ConnectResult {
@@ -123,26 +128,25 @@ class Relay {
   Relay& operator=(const Relay&) = delete;
 
   /// Makes this relay the feed origin: every ArchiveWriter::append()
-  /// publishes the day's delta to subscribers. Call before connecting
+  /// publishes the day's delta to subscribers, and cursors older than the
+  /// delta log replay from the writer's archive. Call before connecting
   /// peers (feed advertisement rides the handshake). The hook runs on
   /// the appending thread.
   void attach_publisher(store::ArchiveWriter& writer);
 
   /// Client entry point: a signed request frame in, a signed response
   /// frame out. Answered by the co-located server when there is one,
-  /// otherwise forwarded into the mesh; no peer in reach -> a typed
-  /// kUnreachable error frame (immediately when this relay has no peers,
-  /// after forward_timeout otherwise).
+  /// otherwise by the feed upstream (which asks its own, and so on up the
+  /// tree). No upstream, or none that can answer, -> a typed kUnreachable
+  /// error frame, returned as soon as the walk ends; there is no timeout.
   std::vector<std::uint8_t> query(std::span<const std::uint8_t> frame);
 
   /// Registers an in-process subscriber. `sink` is invoked under the
   /// relay lock (it must not call back into any Relay) for every
-  /// filtered chunk, in exact feed order; with a cursor, chunks at or
-  /// before it are skipped, without one the feed replays from its
-  /// beginning. Returns the subscription id.
+  /// filtered chunk, in exact feed order, starting with a replay of the
+  /// feed from its beginning. Returns the subscription id.
   std::uint64_t subscribe_local(const SubscriptionSpec& spec,
-                                std::function<void(const DeltaChunk&)> sink,
-                                std::optional<Cursor> cursor = std::nullopt);
+                                std::function<void(const DeltaChunk&)> sink);
   void unsubscribe_local(std::uint64_t subscription_id);
 
   /// Live per-peer / per-subscription snapshot (the MeshStatsResponse a
@@ -158,14 +162,20 @@ class Relay {
   /// Newest feed position this relay has applied (meaningless until the
   /// first chunk).
   Cursor feed_cursor() const;
-  /// Total kMesh frames this relay has sent (the loop-suppression bound
-  /// in test_mesh_relay counts these).
+  /// Total kMesh frames this relay has sent, replies included (a query
+  /// costs 2 per hop of its upstream walk; test_mesh_relay counts them).
   std::uint64_t frames_sent() const;
 
-  /// Peer-to-peer transport: `from` delivered one signed frame. Returns
-  /// false when the frame was dropped (unknown peer, undecodable).
+  /// Peer-to-peer transport, downward: `from` pushes one signed
+  /// DeltaChunk frame. True means applied (or a duplicate) — the ack.
+  /// False means dropped: unknown peer, undecodable, not a DeltaChunk.
   /// Public only because peers call it; not an API for clients.
   bool deliver(Relay* from, std::span<const std::uint8_t> frame);
+  /// Peer-to-peer transport, upward: `from` sends one signed Forward or
+  /// Subscribe frame; the return value is the signed ForwardReply or
+  /// SubAck. Empty when dropped (unknown peer, undecodable, other kind).
+  std::vector<std::uint8_t> request(Relay* from,
+                                    std::span<const std::uint8_t> frame);
 
   friend ConnectResult connect(Relay& a, Relay& b);
   friend void disconnect(Relay& a, Relay& b);
@@ -195,22 +205,6 @@ class Relay {
     std::function<void(const DeltaChunk&)> sink;
   };
 
-  /// A deferred delivery (forwards, replies, handshake follow-ups) sent
-  /// after the relay lock is released.
-  struct Outgoing {
-    Relay* to = nullptr;
-    std::vector<std::uint8_t> frame;
-    /// Runs instead of a peer delivery (waiter wakeups, local answers).
-    std::function<void()> action;
-  };
-
-  struct ForwardWaiter {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    std::vector<std::uint8_t> response;  // canonical response body
-  };
-
   /// Handshake acceptor (responder side). Returns the encoded Welcome or
   /// Reject frame.
   std::vector<std::uint8_t> accept_hello(Relay* remote,
@@ -221,14 +215,23 @@ class Relay {
   void maybe_subscribe_to(Relay* remote);
   void drop_peer(Relay* remote);
 
-  /// Message handlers; run with mu_ held, defer sends into `out` (delta
-  /// pushes descend synchronously instead — see the header comment).
-  void handle_forward(Peer& from, Forward fwd, std::vector<Outgoing>& out);
-  void handle_forward_reply(ForwardReply reply, std::vector<Outgoing>& out);
-  void handle_subscribe(Peer& from, Subscribe sub, std::vector<Outgoing>& out);
-  /// Returns false only on a day-order violation (never expected over a
-  /// tree); duplicates return true so the pusher's cursor advances.
-  bool handle_delta(Peer& from, const DeltaChunk& chunk);
+  /// Decodes a signed peer frame; nullopt when it is not a valid kMesh
+  /// frame under our key.
+  std::optional<MeshMessage> open(std::span<const std::uint8_t> frame) const;
+
+  /// Answers a peer's Forward: from the co-located server, else by
+  /// spending one hop to ask our upstream (kUnreachable once none is
+  /// left). Runs without mu_ held.
+  std::vector<std::uint8_t> handle_forward(Relay* from, Forward fwd);
+  /// Sends `fwd` to the feed upstream and returns its canonical response
+  /// body, or a kUnreachable error body when no upstream answers. Runs
+  /// without mu_ held (see "up" in the header comment).
+  std::vector<std::uint8_t> ask_upstream(const Forward& fwd);
+  /// Pub/sub handlers; run with mu_ held. A subscribe replays the
+  /// backlog down to the subscriber before its SubAck returns.
+  SubAck handle_subscribe(Peer& from, Subscribe sub);
+  /// Applies, logs and fans out one chunk; a duplicate is only counted.
+  void handle_delta(Peer& from, const DeltaChunk& chunk);
 
   /// Commit-hook body: diff, chunk, log, fan out.
   void publish_census(const census::DailyCensus& census);
@@ -247,13 +250,9 @@ class Relay {
   std::vector<std::uint8_t> answer_locally(
       const std::vector<std::uint8_t>& canonical);
 
-  std::vector<std::uint8_t> mesh_frame(const MeshMessage& message,
-                                       std::uint64_t request_id = 0) const;
-  std::vector<std::uint8_t> error_frame(std::uint64_t request_id,
-                                        serve::ErrorCode code,
-                                        std::string message) const;
-  static void send_all(Relay* self, std::vector<Outgoing>& out);
-  void note_seen_forward(std::uint64_t forward_id);
+  std::vector<std::uint8_t> mesh_frame(const MeshMessage& message) const;
+  std::vector<std::uint8_t> response_frame(
+      std::uint64_t request_id, const std::vector<std::uint8_t>& body) const;
   Peer* find_peer(Relay* remote);
   bool has_feed_locked() const {
     return publisher_attached_ || upstream_active_;
@@ -279,13 +278,8 @@ class Relay {
   bool upstream_active_ = false;
   std::uint64_t upstream_sub_id_ = 0;
 
-  // Forwarding state.
   std::uint64_t next_forward_ = 1;
   std::uint64_t next_sub_ = 1;
-  std::unordered_set<std::uint64_t> seen_forwards_;
-  std::deque<std::uint64_t> seen_order_;
-  std::map<std::uint64_t, std::shared_ptr<ForwardWaiter>> pending_;
-  std::map<std::uint64_t, Relay*> forward_routes_;  // id -> origin-ward peer
 
   // Counters (mirrored into MeshStatsResponse).
   std::uint64_t deltas_published_ = 0;
@@ -293,7 +287,7 @@ class Relay {
   std::uint64_t deltas_dropped_ = 0;
   std::uint64_t duplicate_deltas_ = 0;
   std::uint64_t forwards_seen_ = 0;
-  std::uint64_t forward_dups_suppressed_ = 0;
+  std::uint64_t forward_dups_suppressed_ = 0;  // refused at the hop budget
   std::uint64_t forwards_answered_ = 0;
   std::uint64_t frames_sent_ = 0;
 
@@ -305,7 +299,8 @@ class Relay {
 
 /// Bidirectional handshake: `a` sends Hello, `b` answers Welcome or a
 /// typed Reject (kVersionMismatch when the version ranges don't overlap
-/// at or above the mesh floor; kBadRequest when authentication fails).
+/// at or above the mesh floor; kBadRequest when authentication fails or
+/// both sides have one node id, as when `a` and `b` are the same relay).
 /// On success each side records the peer, and a feed-less side
 /// auto-subscribes to the other's feed — resuming from its cursor when
 /// this is a reconnection.
@@ -336,7 +331,6 @@ class CensusFollower {
   Relay& relay_;
   std::uint64_t sub_id_ = 0;
   mutable std::mutex mu_;
-  bool started_ = false;
   Cursor cursor_;
   store::DeltaFollower follower_;
   std::map<std::uint32_t, std::string> days_;

@@ -12,9 +12,10 @@
 //               version-pinned relay can still say "no" in a well-formed
 //               frame instead of silently dropping).
 //   forwarding  Forward / ForwardReply — a canonical serve request body
-//               flooded through the mesh until a relay with an archive
-//               answers it. Loop suppression is the hop counter plus
-//               per-relay forward_id dedup.
+//               passed up the subscription tree, relay to upstream, until
+//               a relay with a server answers it; the reply retraces the
+//               path as each call's return value. The hop counter bounds
+//               the walk should the tree ever contain a cycle.
 //   pub/sub     Subscribe / SubAck / DeltaChunk / DeltaAck — the census
 //               delta feed. A DeltaChunk is a slice of a store::DayDelta
 //               plus a (day, seq) cursor; `last` marks the day complete.
@@ -77,9 +78,11 @@ void fields(auto& io, codec::Is<Reject> auto& m) {
   io(codec::one_of(m.code, serve::kAllErrorCodes), m.message);
 }
 
-/// A serve request flooded into the mesh on behalf of a client. `request`
-/// is the canonical request body (the response-cache key), so any relay
-/// can answer from cache without re-canonicalizing.
+/// A serve request passed to a relay's upstream on behalf of a client.
+/// `request` is the canonical request body (the response-cache key), so
+/// the answering server needs no re-canonicalizing. `hops_left` starts at
+/// mesh::kForwardHopBudget and drops by one per relay that passes the
+/// request on; a relay without a server refuses it at zero.
 struct Forward {
   std::uint64_t forward_id = 0;   // (origin node_id << 48) | counter
   std::uint64_t origin_node = 0;
@@ -91,7 +94,8 @@ void fields(auto& io, codec::Is<Forward> auto& m) {
   io(m.forward_id, m.origin_node, m.hops_left, m.request);
 }
 
-/// The canonical response body, routed back along the forward path.
+/// The canonical response body: the return value of the Forward call, so
+/// it comes back down exactly the path the request went up.
 struct ForwardReply {
   std::uint64_t forward_id = 0;
   std::vector<std::uint8_t> response;

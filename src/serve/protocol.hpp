@@ -411,7 +411,10 @@ struct MeshStatsResponse {
   std::uint64_t deltas_forwarded = 0;  // chunks pushed to subscribers
   std::uint64_t deltas_dropped = 0;    // pushes to vanished peers
   std::uint64_t duplicate_deltas = 0;  // chunks at-or-below our cursor
-  std::uint64_t forwards_seen = 0;     // forwards received (pre-dedup)
+  std::uint64_t forwards_seen = 0;     // Forward frames received from peers
+  /// Forwards refused because their hop budget ran out (only a
+  /// subscription cycle spends it). The field name predates hop budgets
+  /// and stays for wire and JSON compatibility.
   std::uint64_t forward_dups_suppressed = 0;
   std::uint64_t forwards_answered = 0;  // answered from cache or archive
   std::uint64_t negative_cache_hits = 0;

@@ -241,6 +241,9 @@ RoutingModel::Ranking RoutingModel::scan_pops(const AttachPoint& from,
   // after mixing the sender key. The per-PoP arithmetic below reproduces
   // score() bit for bit (same operations, same association order), which
   // the PerPopArithmeticMatchesScore test pins down.
+  expects(dep.pop_city.size() == dep.pops.size() &&
+              dep.pop_upstream.size() == dep.pops.size(),
+          "deployment layout finalized");
   const auto& hop_row = graph_.hops_from(from.upstream);
   const float* dist_row =
       &city_dist_[static_cast<std::size_t>(from.city) * city_count_];
@@ -251,8 +254,12 @@ RoutingModel::Ranking RoutingModel::scan_pops(const AttachPoint& from,
   Ranking r;
   double best_score = std::numeric_limits<double>::infinity();
   double second_score = std::numeric_limits<double>::infinity();
-  const auto consider = [&](std::size_t i, std::uint64_t city,
-                            std::uint64_t upstream) {
+  // 4 sequential bytes per PoP (see Deployment::pop_city).
+  const std::uint16_t* cities = dep.pop_city.data();
+  const std::uint16_t* upstreams = dep.pop_upstream.data();
+  for (std::size_t i = 0; i < dep.pops.size(); ++i) {
+    const std::uint64_t city = cities[i];
+    const std::uint64_t upstream = upstreams[i];
     const std::uint16_t hops = hop_row[upstream];
     const double hop_cost =
         hops == AsGraph::kUnreachable
@@ -272,20 +279,6 @@ RoutingModel::Ranking RoutingModel::scan_pops(const AttachPoint& from,
     } else if (s < second_score) {
       r.second = static_cast<std::uint32_t>(i);
       second_score = s;
-    }
-  };
-  if (dep.pop_city.size() == dep.pops.size()) {
-    // SoA fast path: 4 sequential bytes per PoP (see Deployment::pop_city).
-    const std::uint16_t* cities = dep.pop_city.data();
-    const std::uint16_t* upstreams = dep.pop_upstream.data();
-    for (std::size_t i = 0; i < dep.pops.size(); ++i) {
-      consider(i, cities[i], upstreams[i]);
-    }
-  } else {
-    // Layout not finalized (hand-built deployments in tests): same
-    // arithmetic over the AoS fields.
-    for (std::size_t i = 0; i < dep.pops.size(); ++i) {
-      consider(i, dep.pops[i].attach.city, dep.pops[i].attach.upstream);
     }
   }
   r.best_score = best_score;

@@ -79,7 +79,8 @@ struct Deployment {
   /// RoutingModel construction), so a scan over thousands of PoPs streams
   /// 4 bytes per PoP instead of striding over Pop objects that drag each
   /// chaos_values vector header through the cache. Rebuilt by
-  /// finalize_layout(); empty (and ignored by the scan) until then.
+  /// finalize_layout(), which must run before the deployment is routed
+  /// (the scan checks the sizes match `pops`).
   std::vector<std::uint16_t> pop_city;
   std::vector<std::uint16_t> pop_upstream;
   /// kGlobalBgpUnicast: index into `pops` of the real (home) server site.
@@ -95,7 +96,8 @@ struct Deployment {
   /// its home PoP on inactive days).
   std::size_t active_pop_count(std::uint32_t day) const;
   /// Rebuild the SoA attach arrays from `pops`. Call after the PoP set is
-  /// final (WorldBuilder does; SimNetwork does on attach/detach).
+  /// final and before routing (WorldBuilder does; SimNetwork does on
+  /// attach/detach; hand-built deployments must too).
   void finalize_layout();
 };
 

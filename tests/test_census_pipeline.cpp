@@ -5,6 +5,7 @@
 #include "census/longitudinal.hpp"
 #include "census/output.hpp"
 #include "census/pipeline.hpp"
+#include "obs/trace.hpp"
 #include "platform/platform.hpp"
 #include "support.hpp"
 
@@ -166,6 +167,20 @@ TEST_F(PipelineTest, LongitudinalStoreTracksStability) {
   const double anycast_stable = static_cast<double>(anycast.every_day) /
                                 static_cast<double>(anycast.union_size);
   EXPECT_GE(gcd_stable, anycast_stable - 0.05);
+}
+
+TEST_F(PipelineTest, DestroyedPipelineDetachesTracerClock) {
+  // run_day points the global tracer at the network's queue; the
+  // pipeline must not leave it there when it dies (the session outlives
+  // it here, so only the pipeline's destructor can clear it).
+  auto& tracer = obs::Tracer::global();
+  {
+    auto pipeline = make_pipeline();
+    tracer.set_clock(nullptr);
+    pipeline.run_day(1);
+    ASSERT_EQ(tracer.clock(), &events_);
+  }
+  EXPECT_EQ(tracer.clock(), nullptr);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include "core/classify.hpp"
 #include "core/session.hpp"
 #include "hitlist/hitlist.hpp"
+#include "obs/trace.hpp"
 #include "platform/platform.hpp"
 #include "support.hpp"
 #include "topo/network.hpp"
@@ -220,6 +221,29 @@ TEST_F(SessionTest, StaticProbeMeasurementStillClassifies) {
   }
   const auto classification = classify_anycast(results, targets);
   EXPECT_FALSE(anycast_targets(classification).empty());
+}
+
+TEST_F(SessionTest, DestroyedSessionDetachesTracerClock) {
+  // A session points the global tracer at its network's queue. Once the
+  // session and a scoped network are gone, a later span must not read
+  // that queue.
+  auto& tracer = obs::Tracer::global();
+  {
+    EventQueue events;
+    topo::SimNetwork network(world(), events);
+    Session session(network, platform_);
+    ASSERT_EQ(tracer.clock(), &events);
+  }
+  EXPECT_EQ(tracer.clock(), nullptr);
+
+  // A clock someone re-pointed elsewhere is left alone.
+  EventQueue other;
+  {
+    Session session(*network_, platform_);
+    tracer.set_clock(&other);
+  }
+  EXPECT_EQ(tracer.clock(), &other);
+  tracer.set_clock(nullptr);
 }
 
 }  // namespace

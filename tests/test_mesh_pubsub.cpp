@@ -6,15 +6,19 @@
 // census pipeline. Plus: priority classes flush high-priority first,
 // family/prefix filters scope the feed without breaking cursor
 // continuity, stale cursors fall back to the archive at the origin and
-// are refused with a typed SubAck at a pure relay, and day commits roll
-// the co-located server's negative response cache.
+// are refused with a typed SubAck at a pure relay (which resumes any
+// cursor its log still holds), as is a Subscribe from a relay's own
+// upstream, a push that races a disconnect is dropped and then replayed,
+// and day commits roll the negative response cache of co-located
+// servers, origin and mirror alike.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
-#include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -297,6 +301,135 @@ TEST(MeshPubSub, PureRelayRefusesStaleCursorOriginRecovers) {
   EXPECT_EQ(c.feed_cursor().day, 3u);
 }
 
+// --- a resume served from a partly evicted log, or from the archive ---
+
+TEST(MeshPubSub, ResumeServedFromAPartlyEvictedLogOrTheArchive) {
+  const auto dir = fresh_dir("mesh_pubsub_window");
+  store::ArchiveWriter writer(dir);
+  // One chunk per day (default chunk size); both logs keep two chunks.
+  auto origin_config = relay_config(1);
+  origin_config.delta_log_chunks = 2;
+  Relay origin(origin_config, nullptr, dir);
+  auto b_config = relay_config(2);
+  b_config.delta_log_chunks = 2;
+  Relay b(b_config);
+  Relay c(relay_config(3));
+  Relay d(relay_config(4));
+  origin.attach_publisher(writer);
+  ASSERT_TRUE(connect(origin, b).ok);
+  ASSERT_TRUE(connect(b, c).ok);
+  ASSERT_TRUE(connect(b, d).ok);
+  CensusFollower c_days(c);
+  CensusFollower d_days(d);
+  writer.append(make_day(1));
+  writer.append(make_day(2));
+  disconnect(b, d);  // d's cursor: day 2
+  writer.append(make_day(3));
+  disconnect(b, c);  // c's cursor: day 3
+  writer.append(make_day(4));  // b's log: days 3 and 4
+
+  // c's cursor is still inside b's log: b resumes it from there.
+  ASSERT_TRUE(connect(b, c).ok);
+  EXPECT_TRUE(c.has_feed());
+  // d's cursor fell out of b's log, and b has no archive: refused.
+  ASSERT_TRUE(connect(b, d).ok);
+  EXPECT_FALSE(d.has_feed());
+  // The origin's log lost day 3 as well, but it replays from its archive.
+  ASSERT_TRUE(connect(d, origin).ok);
+  EXPECT_TRUE(d.has_feed());
+
+  store::ArchiveReader reader(dir);
+  for (const CensusFollower* follower : {&c_days, &d_days}) {
+    ASSERT_EQ(follower->days(), 4u);
+    for (std::uint32_t day = 1; day <= 4; ++day) {
+      EXPECT_EQ(follower->day_csv(day), archived_csv(reader, day))
+          << "day " << day;
+    }
+  }
+  EXPECT_EQ(c.stats().duplicate_deltas, 0u);
+  EXPECT_EQ(d.stats().duplicate_deltas, 0u);
+}
+
+// --- a push that races a disconnect is dropped, then replayed ---
+
+TEST(MeshPubSub, PushRacingADisconnectIsDroppedThenReplayed) {
+  const auto dir = fresh_dir("mesh_pubsub_race");
+  store::ArchiveWriter writer(dir);
+  Relay origin(relay_config(1), nullptr, dir);
+  Relay b(relay_config(2));
+  origin.attach_publisher(writer);
+  ASSERT_TRUE(connect(origin, b).ok);
+  CensusFollower follower(b);
+  writer.append(make_day(1));
+
+  // disconnect(b, origin) makes b forget origin first, then waits for
+  // origin's lock, which the day-2 push holds. A sink flushed ahead of
+  // b's subscription holds that push until b has forgotten origin, so
+  // the push reaches b in between and must count as dropped.
+  std::thread cutter;
+  SubscriptionSpec first;
+  first.priority = 9;
+  origin.subscribe_local(first, [&](const DeltaChunk& chunk) {
+    if (chunk.day != 2 || cutter.joinable()) return;
+    cutter = std::thread([&] { disconnect(b, origin); });
+    // Safe under origin's lock: origin -> b is the push lock order.
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::seconds(10);
+    while (b.has_feed() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  });
+  writer.append(make_day(2));
+  cutter.join();
+  EXPECT_GT(origin.stats().deltas_dropped, 0u);
+  EXPECT_FALSE(follower.has_day(2));
+
+  // b's cursor stayed on day 1, so the reconnect replays day 2 whole.
+  ASSERT_TRUE(connect(origin, b).ok);
+  store::ArchiveReader reader(dir);
+  ASSERT_TRUE(follower.has_day(2));
+  EXPECT_EQ(follower.day_csv(2), archived_csv(reader, 2));
+  EXPECT_EQ(b.stats().duplicate_deltas, 0u);
+}
+
+// --- Subscribe requests: a loop is refused, a repeat updates ---
+
+TEST(MeshPubSub, SubscribeRefusesALoopAndUpdatesARepeat) {
+  const auto dir = fresh_dir("mesh_pubsub_loop");
+  store::ArchiveWriter writer(dir);
+  Relay origin(relay_config(1), nullptr, dir);
+  Relay b(relay_config(2));
+  origin.attach_publisher(writer);
+  ASSERT_TRUE(connect(origin, b).ok);
+  ASSERT_TRUE(b.has_feed());
+
+  const auto& key = b.config().key;
+  const auto subscribe = [&key](Relay& to, Relay& from, Subscribe sub) {
+    const auto frame = serve::encode_frame(
+        key, serve::FrameKind::kMesh, 0, encode_mesh(MeshMessage{sub}),
+        serve::kMeshProtocolVersion);
+    const auto reply = decode_mesh(
+        serve::decode_frame(key, to.request(&from, frame)).payload);
+    return std::get<SubAck>(reply);
+  };
+
+  // origin is b's upstream: following b would close a feed cycle.
+  const SubAck loop = subscribe(b, origin, Subscribe{7});
+  EXPECT_EQ(loop.subscription_id, 7u);
+  EXPECT_FALSE(loop.ok);
+  EXPECT_EQ(loop.message, "subscription loop refused");
+  EXPECT_TRUE(b.stats().subscriptions.empty());
+
+  // b subscribing again under the same id updates its one subscription.
+  ASSERT_EQ(origin.stats().subscriptions.size(), 1u);
+  const std::uint64_t id = origin.stats().subscriptions[0].id;
+  const SubAck repeat = subscribe(origin, b, Subscribe{id, 4});
+  EXPECT_TRUE(repeat.ok);
+  const auto subs = origin.stats().subscriptions;
+  ASSERT_EQ(subs.size(), 1u);
+  EXPECT_EQ(subs[0].family, 4u);
+}
+
 // --- day commits roll the co-located server's negative cache ---
 
 TEST(MeshPubSub, DayCommitClearsNegativeResponseCache) {
@@ -311,32 +444,43 @@ TEST(MeshPubSub, DayCommitClearsNegativeResponseCache) {
   serve::Server server(reader, server_config);
   Relay relay(relay_config(1), &server, dir);
   relay.attach_publisher(writer);
+  // A mirror: its own server over the same archive, fed by the origin.
+  serve::Server mirror_server(reader, server_config);
+  Relay mirror(relay_config(2), &mirror_server);
+  ASSERT_TRUE(connect(relay, mirror).ok);
 
-  const auto ask_unknown_day = [&relay] {
-    const auto& key = relay.config().key;
+  const auto ask_unknown_day = [](Relay& at) {
+    const auto& key = at.config().key;
     static std::uint64_t id = 0;
     const auto frame = serve::encode_frame(
         key, serve::FrameKind::kRequest, ++id,
         serve::encode_request(serve::Request{serve::ExportDayRequest{99}}));
     const auto response = serve::decode_response(
-        serve::decode_frame(key, relay.query(frame)).payload);
+        serve::decode_frame(key, at.query(frame)).payload);
     ASSERT_TRUE(std::holds_alternative<serve::ErrorResponse>(response));
     EXPECT_EQ(std::get<serve::ErrorResponse>(response).code,
               serve::ErrorCode::kUnknownDay);
   };
 
-  ask_unknown_day();  // miss -> negative entry
-  ask_unknown_day();  // negative hit
+  for (Relay* at : {&relay, &mirror}) {
+    ask_unknown_day(*at);  // miss -> negative entry
+    ask_unknown_day(*at);  // negative hit
+    EXPECT_EQ(at->stats().negative_cache_hits, 1u);
+  }
   EXPECT_EQ(server.cache().negative_hits(), 1u);
-  EXPECT_EQ(relay.stats().negative_cache_hits, 1u);
 
-  // A committed day un-falsifies cached negatives: the relay's commit
-  // hook clears both cache arenas.
+  // A committed day un-falsifies cached negatives: the origin's commit
+  // hook clears both cache arenas, and so does the day's last chunk
+  // arriving at the mirror.
   writer.append(make_day(3));
-  ask_unknown_day();  // miss again (entry was cleared)
-  ask_unknown_day();  // fresh negative hit
+  for (Relay* at : {&relay, &mirror}) {
+    ask_unknown_day(*at);  // miss again (entry was cleared)
+    ask_unknown_day(*at);  // fresh negative hit
+  }
   server.drain();
+  mirror_server.drain();
   EXPECT_EQ(server.cache().negative_hits(), 2u);
+  EXPECT_EQ(mirror_server.cache().negative_hits(), 2u);
 }
 
 }  // namespace

@@ -69,6 +69,7 @@ TEST_P(SeedSweep, CatchmentsDeterministicWithinEpoch) {
   for (const auto& s : deployment.sites) {
     view.pops.push_back(topo::Pop{s.attach, {}});
   }
+  view.finalize_layout();
   const auto& routing = world_.routing();
   for (const auto& t : world_.targets()) {
     if (!t.representative || !t.address.is_v4()) continue;

@@ -25,6 +25,7 @@ class RoutingTest : public ::testing::Test {
     dep.id = 0x7000;
     dep.kind = DeploymentKind::kAnycastGlobal;
     for (const auto name : cities) dep.pops.push_back(Pop{attach(name), {}});
+    dep.finalize_layout();
     return dep;
   }
 };
@@ -159,6 +160,7 @@ TEST_F(RoutingTest, EcmpTieBrokenByFlowHashIsStable) {
   dep.kind = DeploymentKind::kAnycastGlobal;
   dep.pops.push_back(Pop{attach("Frankfurt"), {}});
   dep.pops.push_back(Pop{attach("Frankfurt"), {}});
+  dep.finalize_layout();
   const auto from = attach("Warsaw");
   // Identical flow hash -> identical choice across packet sequence numbers
   // unless this (from, dep) pair is round-robin.

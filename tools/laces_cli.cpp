@@ -18,7 +18,7 @@
 // the framed protocol; `bench-serve` runs the load generator against it.
 // `relay` chains N laces_mesh relays over the archive, replays the census
 // delta feed down the chain, checks byte-identity at the tail, and answers
-// scripted queries forwarded hop-by-hop back to the origin server.
+// scripted queries forwarded hop by hop up the chain to the origin server.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -952,7 +952,7 @@ void print_mesh_stats(const serve::MeshStatsResponse& mesh) {
   std::printf(
       "mesh node %llu '%s': feed=(day %u, seq %u) published=%llu "
       "pushed=%llu dropped=%llu dup=%llu\n"
-      "  forwards: seen=%llu suppressed=%llu answered=%llu "
+      "  forwards: seen=%llu refused=%llu answered=%llu "
       "negative_cache_hits=%llu\n",
       static_cast<unsigned long long>(mesh.node_id), mesh.name.c_str(),
       mesh.feed_day, mesh.feed_seq,
@@ -1011,12 +1011,10 @@ struct MeshChain {
 std::optional<MeshChain> build_mesh_chain(const std::filesystem::path& dir,
                                           serve::Server* origin_server,
                                           const std::string& key, long count,
-                                          long hop_limit, std::string* error) {
+                                          std::string* error) {
   MeshChain chain;
   mesh::RelayConfig base;
   base.key = key;
-  base.hop_limit =
-      static_cast<std::uint8_t>(std::clamp(hop_limit, 1L, 255L));
   {
     auto rc = base;
     rc.node_id = 1;
@@ -1073,7 +1071,7 @@ int cmd_stat(const Args& args) {
       std::string error;
       chain = build_mesh_chain(
           std::filesystem::path(args.get("archive", "archive")), &server,
-          config.key, mesh_relays, std::max(4L, mesh_relays), &error);
+          config.key, mesh_relays, &error);
       if (!chain) {
         std::fprintf(stderr, "laces stat: %s\n", error.c_str());
         return 1;
@@ -1221,8 +1219,8 @@ int cmd_stat(const Args& args) {
 /// `laces relay`: in-process mesh demo. Chains N relays over an archive,
 /// replays the census delta feed down the chain (origin -> tail), proves
 /// the tail reconstructs every archived day byte-identically, then drives
-/// scripted queries into the TAIL relay — answered by flooding the mesh
-/// back to the origin's server — and dumps per-relay mesh stats.
+/// scripted queries into the TAIL relay — each relay asks its upstream
+/// until the origin's server answers — and dumps per-relay mesh stats.
 int cmd_relay(const Args& args) {
   if (!args.has("archive")) {
     std::fprintf(stderr, "laces relay: --archive DIR required\n");
@@ -1240,11 +1238,8 @@ int cmd_relay(const Args& args) {
     serve::Server server(reader, config);
 
     const long count = std::max(args.get_int("relays", 3), 1L);
-    // Forwards flood hop by hop; the tail must be able to reach the origin.
-    const long hops = args.get_int("hop-limit", std::max(4L, count));
     std::string error;
-    auto chain =
-        build_mesh_chain(dir, &server, config.key, count, hops, &error);
+    auto chain = build_mesh_chain(dir, &server, config.key, count, &error);
     if (!chain) {
       std::fprintf(stderr, "laces relay: %s\n", error.c_str());
       return 1;
@@ -1329,8 +1324,7 @@ int cmd_subscribe(const Args& args) {
     std::string error;
     auto chain = build_mesh_chain(
         dir, nullptr, args.get("key", "laces-serve"),
-        std::max(args.get_int("relays", 1), 1L),
-        args.get_int("hop-limit", 4), &error);
+        std::max(args.get_int("relays", 1), 1L), &error);
     if (!chain) {
       std::fprintf(stderr, "laces subscribe: %s\n", error.c_str());
       return 1;
@@ -1476,8 +1470,8 @@ void usage() {
                "  bench-serve --archive DIR [--clients M] [--requests N]\n"
                "             [--qps Q] [--seed N] [--out FILE]\n"
                "             [--threads N] [--queue N] [--inflight N]\n"
-               "  relay      --archive DIR [--relays N] [--hop-limit H]\n"
-               "             [--script FILE] [--key K]\n"
+               "  relay      --archive DIR [--relays N] [--script FILE]\n"
+               "             [--key K]\n"
                "  subscribe  --archive DIR [--relays N] [--family 4|6]\n"
                "             [--prefix A.B.C.0/24] [--export-day N] [--json]\n"
                "  stat       --archive DIR [--polls N] [--interval-ms MS]\n"
