@@ -70,15 +70,16 @@ void Relay::attach_publisher(store::ArchiveWriter& writer) {
       // older cursors replay from the archive, not the log.
       store::ArchiveReader reader(archive_dir_, 1);
       const std::uint32_t day = reader.manifest().last_day();
-      prev_census_ = reader.load_day(day);
+      prev_rows_ = store::render_rows(*reader.load_day(day));
       feed_started_ = true;
       latest_ = Cursor{day, kDayDone};
       log_complete_ = false;
     }
   }
   writer.set_commit_hook([this](const store::ManifestEntry&,
-                                const census::DailyCensus& census) {
-    publish_census(census);
+                                const census::DailyCensus& census,
+                                std::vector<store::DeltaRow> rows) {
+    publish_day(census, std::move(rows));
   });
 }
 
@@ -281,13 +282,13 @@ void disconnect(Relay& a, Relay& b) {
 // --- delivery & dispatch ---
 
 bool Relay::deliver(Relay* from, std::span<const std::uint8_t> frame) {
-  const auto message = open(frame);
-  const auto* chunk = message ? std::get_if<DeltaChunk>(&*message) : nullptr;
+  auto message = open(frame);
+  auto* chunk = message ? std::get_if<DeltaChunk>(&*message) : nullptr;
   if (chunk == nullptr) return false;
   std::lock_guard lk(mu_);
   Peer* peer = find_peer(from);
   if (!peer) return false;  // stale frame after disconnect
-  handle_delta(*peer, *chunk);
+  handle_delta(*peer, std::move(*chunk));
   return true;
 }
 
@@ -407,8 +408,8 @@ std::vector<std::uint8_t> Relay::query(std::span<const std::uint8_t> frame) {
 
 // --- pub/sub ---
 
-void Relay::append_log(const DeltaChunk& chunk) {
-  delta_log_.push_back(chunk);
+void Relay::append_log(DeltaChunk chunk) {
+  delta_log_.push_back(std::move(chunk));
   while (delta_log_.size() > config_.delta_log_chunks) {
     delta_log_.pop_front();
     log_complete_ = false;
@@ -418,8 +419,11 @@ void Relay::append_log(const DeltaChunk& chunk) {
 void Relay::push_to(Subscription& sub, const DeltaChunk& chunk) {
   const Cursor c{chunk.day, chunk.seq};
   if (sub.started && c <= sub.acked) return;  // already delivered
-  const DeltaChunk filtered =
-      filter_chunk(chunk, sub.spec.family, sub.spec.prefixes);
+  std::optional<DeltaChunk> scoped;
+  if (sub.spec.family != 0 || !sub.spec.prefixes.empty()) {
+    scoped = filter_chunk(chunk, sub.spec.family, sub.spec.prefixes);
+  }
+  const DeltaChunk& filtered = scoped ? *scoped : chunk;
   ++sub.chunks_pushed;
   ++deltas_forwarded_;
   pushed_counter_->add();
@@ -527,7 +531,7 @@ SubAck Relay::handle_subscribe(Peer& from, Subscribe sub) {
   return SubAck{id, false, "cursor predates the delta log"};
 }
 
-void Relay::handle_delta(Peer& from, const DeltaChunk& chunk) {
+void Relay::handle_delta(Peer& from, DeltaChunk chunk) {
   ++from.deltas_received;
   const Cursor c{chunk.day, chunk.seq};
   if (feed_started_ && c <= latest_) {
@@ -538,32 +542,33 @@ void Relay::handle_delta(Peer& from, const DeltaChunk& chunk) {
   }
   feed_started_ = true;
   latest_ = c;
-  append_log(chunk);
   push_chunk(chunk);  // fan through to our own subscribers
   if (chunk.last && server_ != nullptr) {
     // A completed day changes every longitudinal answer and un-falsifies
     // cached unknown-day errors.
     server_->cache_mut().clear();
   }
+  append_log(std::move(chunk));
 }
 
-void Relay::publish_census(const census::DailyCensus& census) {
-  // Diff outside the lock: prev_census_ is only ever touched by the
+void Relay::publish_day(const census::DailyCensus& census,
+                        std::vector<store::DeltaRow> rows) {
+  // Diff outside the lock: prev_rows_ is only ever touched by the
   // (single) appending thread, per ArchiveWriter's append discipline.
-  const store::DayDelta delta =
-      store::compute_day_delta(prev_census_.get(), census);
-  prev_census_ = std::make_shared<census::DailyCensus>(census);
-  const auto chunks = chunk_delta(delta, config_.max_rows_per_chunk);
+  auto chunks =
+      chunk_delta(store::diff_rows(prev_rows_, census, rows),
+                  config_.max_rows_per_chunk);
+  prev_rows_ = std::move(rows);
   std::lock_guard lk(mu_);
-  for (const DeltaChunk& chunk : chunks) {
+  for (DeltaChunk& chunk : chunks) {
     feed_started_ = true;
     latest_ = Cursor{chunk.day, chunk.seq};
     ++deltas_published_;
     published_counter_->add();
     obs::FlightRecorder::global().record(obs::FrEvent::kDeltaPublished, 0,
                                          chunk.day, chunk.seq);
-    append_log(chunk);
     push_chunk(chunk);
+    append_log(std::move(chunk));
   }
   if (server_ != nullptr) server_->cache_mut().clear();
 }
@@ -663,7 +668,7 @@ CensusFollower::CensusFollower(Relay& relay, SubscriptionSpec spec)
     std::lock_guard lk(mu_);
     // The relay hands each (day, seq) over once, in order.
     cursor_ = Cursor{chunk.day, chunk.seq};
-    follower_.apply(to_delta(chunk));
+    follower_.apply(chunk);
     if (chunk.last) days_[chunk.day] = follower_.render();
   });
 }

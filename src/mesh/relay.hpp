@@ -5,10 +5,15 @@
 // class, each optional:
 //
 //   origin      attach_publisher() hangs the relay off an ArchiveWriter's
-//               day-commit hook: every committed day is diffed against the
-//               previous one (store::compute_day_delta), chunked, and
-//               pushed to subscribers. The origin replays arbitrarily old
-//               cursors from the archive itself.
+//               day-commit hook. The hook hands over the publication rows
+//               the commit rendered once (store::render_rows); the origin
+//               merges them with the previous day's rows, which it keeps
+//               as its diff base (store::diff_rows), moves the changed
+//               rows into chunks and pushes those to subscribers. Attached
+//               to an archive that already holds days, it renders the last
+//               archived day's rows once as its first diff base. The
+//               origin replays arbitrarily old cursors from the archive
+//               itself (store::compute_day_delta per archived day).
 //   server      a co-located serve::Server answers client and forwarded
 //               queries from its cache or archive, and the relay registers
 //               itself as the server's MeshStats provider. Day commits
@@ -230,11 +235,13 @@ class Relay {
   /// Pub/sub handlers; run with mu_ held. A subscribe replays the
   /// backlog down to the subscriber before its SubAck returns.
   SubAck handle_subscribe(Peer& from, Subscribe sub);
-  /// Applies, logs and fans out one chunk; a duplicate is only counted.
-  void handle_delta(Peer& from, const DeltaChunk& chunk);
+  /// Applies, fans out and logs one chunk; a duplicate is only counted.
+  void handle_delta(Peer& from, DeltaChunk chunk);
 
-  /// Commit-hook body: diff, chunk, log, fan out.
-  void publish_census(const census::DailyCensus& census);
+  /// Commit-hook body: diff `rows` against the previous day's, keep them
+  /// as the next diff base, chunk, fan out, log.
+  void publish_day(const census::DailyCensus& census,
+                   std::vector<store::DeltaRow> rows);
   /// Fans one chunk to every subscription (priority desc, id asc) with
   /// per-subscription filtering; synchronous, mu_ held.
   void push_chunk(const DeltaChunk& chunk);
@@ -242,9 +249,10 @@ class Relay {
   /// subscription, from the log or (origin) the archive; synchronous,
   /// mu_ held. Returns false when the cursor predates both.
   bool replay_to(Subscription& sub);
-  /// One filtered chunk to one subscription; synchronous, mu_ held.
+  /// One filtered chunk to one subscription (an unfiltered one gets
+  /// `chunk` itself); synchronous, mu_ held.
   void push_to(Subscription& sub, const DeltaChunk& chunk);
-  void append_log(const DeltaChunk& chunk);
+  void append_log(DeltaChunk chunk);
 
   /// Answers a forwarded canonical request body via the local server.
   std::vector<std::uint8_t> answer_locally(
@@ -273,7 +281,9 @@ class Relay {
   Cursor latest_;              // newest applied/published position
   std::deque<DeltaChunk> delta_log_;  // bounded replay window
   bool log_complete_ = true;   // log still holds the feed from its start
-  std::shared_ptr<const census::DailyCensus> prev_census_;  // origin diff base
+  /// Origin diff base: the last committed day's publication rows. Only
+  /// the appending thread touches it (ArchiveWriter's append discipline).
+  std::vector<store::DeltaRow> prev_rows_;
   std::uint64_t upstream_node_ = 0;  // whom we subscribe to (0 = nobody yet)
   bool upstream_active_ = false;
   std::uint64_t upstream_sub_id_ = 0;

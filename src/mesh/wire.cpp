@@ -1,6 +1,7 @@
 #include "mesh/wire.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace laces::mesh {
 
@@ -12,7 +13,7 @@ MeshMessage decode_mesh(std::span<const std::uint8_t> bytes) {
   return codec::decode<MeshMessage, serve::ProtocolError>(bytes, "mesh");
 }
 
-std::vector<DeltaChunk> chunk_delta(const store::DayDelta& delta,
+std::vector<DeltaChunk> chunk_delta(store::DayDelta delta,
                                     std::size_t max_rows) {
   if (max_rows == 0) max_rows = 1;
   std::vector<DeltaChunk> chunks;
@@ -28,7 +29,7 @@ std::vector<DeltaChunk> chunk_delta(const store::DayDelta& delta,
     chunk.canary_alarms = delta.canary_alarms;
     std::size_t room = max_rows;
     while (room > 0 && up < delta.upserts.size()) {
-      chunk.upserts.push_back(delta.upserts[up++]);
+      chunk.upserts.push_back(std::move(delta.upserts[up++]));
       --room;
     }
     while (room > 0 && rm < delta.removals.size()) {
@@ -76,7 +77,6 @@ bool row_matches(const net::Prefix& p, std::uint8_t family,
 
 DeltaChunk filter_chunk(const DeltaChunk& chunk, std::uint8_t family,
                         const std::vector<net::Prefix>& prefixes) {
-  if (family == 0 && prefixes.empty()) return chunk;
   DeltaChunk out;
   out.day = chunk.day;
   out.seq = chunk.seq;

@@ -181,13 +181,15 @@ std::vector<std::uint8_t> encode_mesh(const MeshMessage& message);
 MeshMessage decode_mesh(std::span<const std::uint8_t> bytes);
 
 /// Splits a day's delta into chunks of at most `max_rows` rows (upserts +
-/// removals). Always yields at least one chunk — an unchanged day still
-/// advances every subscriber's cursor. Chunking is deterministic, so a
-/// replayed day re-chunks to identical (day, seq) coordinates.
-std::vector<DeltaChunk> chunk_delta(const store::DayDelta& delta,
+/// removals), moving the rows into them. Always yields at least one chunk
+/// — an unchanged day still advances every subscriber's cursor. Chunking
+/// is deterministic, so a replayed day re-chunks to identical (day, seq)
+/// coordinates.
+std::vector<DeltaChunk> chunk_delta(store::DayDelta delta,
                                     std::size_t max_rows);
 
-/// Reassembles a chunk into the DayDelta slice a DeltaFollower applies.
+/// Reassembles a chunk into a DayDelta slice (a copy of its rows; a
+/// DeltaFollower applies the chunk itself).
 store::DayDelta to_delta(const DeltaChunk& chunk);
 
 /// True when subscription filter prefix `filter` covers census prefix `p`

@@ -55,6 +55,18 @@ void write_file_atomic(const std::filesystem::path& path,
   std::filesystem::rename(tmp, path);
 }
 
+/// Byte length of render_census(census), counted from the day's rows:
+/// the header lines plus every line and its newline.
+std::uint64_t publication_bytes(const census::DailyCensus& census,
+                                std::span<const DeltaRow> rows) {
+  std::string header;
+  census::append_header(header, census.day, census.degraded,
+                        census.lost_sites, census.canary_alarms);
+  std::uint64_t bytes = header.size();
+  for (const DeltaRow& row : rows) bytes += row.line.size() + 1;
+  return bytes;
+}
+
 std::uint32_t count_anycast_detected(const census::DailyCensus& census) {
   std::uint32_t n = 0;
   for (const auto& [prefix, rec] : census.records) {
@@ -89,16 +101,16 @@ const ManifestEntry& ArchiveWriter::append(const census::DailyCensus& census) {
   }
 
   const auto segment = encode_segment(census);
+  std::vector<DeltaRow> rows = render_rows(census);
   ManifestEntry entry;
   entry.day = census.day;
   entry.degraded = census.degraded;
-  entry.record_count =
-      static_cast<std::uint32_t>(census.published_prefixes().size());
+  entry.record_count = static_cast<std::uint32_t>(rows.size());
   entry.anycast_detected = count_anycast_detected(census);
   entry.gcd_confirmed =
       static_cast<std::uint32_t>(census.gcd_confirmed_prefixes().size());
   entry.segment_bytes = segment.size();
-  entry.csv_bytes = census::render_census(census).size();
+  entry.csv_bytes = publication_bytes(census, rows);
   entry.digest_hex = footer_hex(segment);  // encode_segment just hashed it
   entry.file = segment_file_name(census.day);
 
@@ -111,7 +123,7 @@ const ManifestEntry& ArchiveWriter::append(const census::DailyCensus& census) {
   segment_bytes_->add(stored.segment_bytes);
   csv_bytes_->add(stored.csv_bytes);
   span.set_attr("segment_bytes", std::to_string(stored.segment_bytes));
-  if (commit_hook_) commit_hook_(stored, census);
+  if (commit_hook_) commit_hook_(stored, census, std::move(rows));
   return stored;
 }
 

@@ -23,6 +23,7 @@
 #include "census/longitudinal.hpp"
 #include "obs/metrics.hpp"
 #include "store/checkpoint.hpp"
+#include "store/delta.hpp"
 #include "store/manifest.hpp"
 #include "store/segment.hpp"
 
@@ -34,10 +35,11 @@ class ArchiveWriter {
   /// loaded so a reopened archive appends after its last day.
   explicit ArchiveWriter(std::filesystem::path dir);
 
-  /// Archives one census day: encodes the segment, writes it atomically,
-  /// appends the manifest entry and rewrites the manifest. Throws
-  /// ArchiveError if `census.day` is already archived or not after the
-  /// last archived day.
+  /// Archives one census day: encodes the segment, renders the day's
+  /// publication rows once (store::render_rows; they give the entry's
+  /// record_count and csv_bytes), writes the segment atomically, appends
+  /// the manifest entry and rewrites the manifest. Throws ArchiveError if
+  /// `census.day` is already archived or not after the last archived day.
   const ManifestEntry& append(const census::DailyCensus& census);
 
   /// Persists the resume checkpoint (atomic overwrite).
@@ -45,10 +47,12 @@ class ArchiveWriter {
 
   /// Called at the end of every successful append(), after the segment and
   /// manifest are durable — the day-commit hook the mesh pub/sub publisher
-  /// hangs off (src/mesh/). Runs on the appending thread; exceptions
-  /// propagate to the append() caller.
+  /// hangs off (src/mesh/). It receives the day's publication rows, as
+  /// render_rows returns them, to keep. Runs on the appending thread;
+  /// exceptions propagate to the append() caller.
   using CommitHook =
-      std::function<void(const ManifestEntry&, const census::DailyCensus&)>;
+      std::function<void(const ManifestEntry&, const census::DailyCensus&,
+                          std::vector<DeltaRow> rows)>;
   void set_commit_hook(CommitHook hook) { commit_hook_ = std::move(hook); }
 
   const Manifest& manifest() const { return manifest_; }

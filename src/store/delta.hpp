@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,7 +27,8 @@
 
 namespace laces::store {
 
-/// One new-or-changed publication row: the prefix and its exact CSV line.
+/// One publication row: the prefix and its exact CSV line. A day's rows
+/// (render_rows) and a delta's new-or-changed rows share the type.
 struct DeltaRow {
   net::Prefix prefix;
   std::string line;  // census::to_csv bytes for this day
@@ -46,10 +48,25 @@ struct DayDelta {
   bool operator==(const DayDelta&) const = default;
 };
 
-/// Diffs two census days in publication space. A prefix is an upsert when
-/// it is published in `cur` and either absent from `prev`'s publication or
-/// published with a different CSV line; a removal when published in `prev`
-/// but not in `cur`.
+/// A day's publication rows: every published prefix in sorted order with
+/// its census::to_csv line — the body of render_census's file, one row per
+/// line. A day commit renders these once (ArchiveWriter::append) and hands
+/// them to the diff and the mesh.
+std::vector<DeltaRow> render_rows(const census::DailyCensus& census);
+
+/// Diffs two days' publication rows, each sorted by prefix as render_rows
+/// returns them, in one linear merge. A prefix is an upsert when it is in
+/// `cur_rows` and either absent from `prev_rows` or there with a different
+/// line; a removal when in `prev_rows` but not in `cur_rows`. Upserts copy
+/// their rows from `cur_rows`; the day header comes from `cur`.
+DayDelta diff_rows(std::span<const DeltaRow> prev_rows,
+                   const census::DailyCensus& cur,
+                   std::span<const DeltaRow> cur_rows);
+
+/// Diffs two census days in publication space: diff_rows over both days'
+/// render_rows. `prev == nullptr` diffs against an empty publication.
+/// Lines are compared, not records, so a record change the CSV does not
+/// show is not a delta.
 DayDelta compute_day_delta(const census::DailyCensus* prev,
                            const census::DailyCensus& cur);
 
@@ -58,12 +75,19 @@ DayDelta compute_day_delta(const census::DailyCensus* prev,
 class DeltaFollower {
  public:
   /// Applies delta rows (upserts replace/insert, removals erase) and
-  /// records the day's header state. Days must arrive in non-decreasing
-  /// order; several partial deltas for one day merge (chunked delivery),
-  /// and re-applying a row is idempotent (map assignment). Throws
-  /// std::runtime_error on a day regression — the caller's cursor logic
-  /// is supposed to have deduplicated replays.
-  void apply(const DayDelta& delta);
+  /// records the day's header state. `slice` is a DayDelta or anything
+  /// with its fields, such as a mesh DeltaChunk, applied in place. Days
+  /// must arrive in non-decreasing order; several partial deltas for one
+  /// day merge (chunked delivery), and re-applying a row is idempotent
+  /// (map assignment). Throws std::runtime_error on a day regression —
+  /// the caller's cursor logic is supposed to have deduplicated replays.
+  template <class Slice>
+  void apply(const Slice& slice) {
+    begin_day(slice.day, slice.degraded, slice.lost_sites,
+              slice.canary_alarms);
+    for (const DeltaRow& row : slice.upserts) rows_[row.prefix] = row.line;
+    for (const net::Prefix& prefix : slice.removals) rows_.erase(prefix);
+  }
 
   /// Publication bytes for the most recently applied day.
   std::string render() const;
@@ -72,6 +96,9 @@ class DeltaFollower {
   std::size_t rows() const { return rows_.size(); }
 
  private:
+  void begin_day(std::uint32_t day, bool degraded, std::uint16_t lost_sites,
+                 std::uint32_t canary_alarms);
+
   std::uint32_t day_ = 0;
   bool degraded_ = false;
   std::uint16_t lost_sites_ = 0;

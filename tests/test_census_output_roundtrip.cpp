@@ -130,6 +130,41 @@ TEST(CensusOutputRoundTrip, ParseErrorsNameTheLine) {
   expect_parse_error(
       header + "10.0.0.0/24,anycast,1,n/a,0,n/a,0,n/a,0,half,\n", "line 3",
       "bad partial flag");
+
+  // Numbers are whole decimal fields that fit their type: nothing wraps,
+  // truncates or loses its sign on the way into the archive.
+  for (const char* vps : {"4294967297", "-5", "7 junk", "+7", ""}) {
+    expect_parse_error(header + "10.0.0.0/24,anycast," + vps +
+                           ",n/a,0,n/a,0,n/a,0,full,\n",
+                       "line 3", "bad VP count");
+  }
+  expect_parse_error(
+      header + "10.0.0.0/24,anycast,1,n/a,0,n/a,0,anycast,4294967296,full,\n",
+      "line 3", "bad gcd_sites");
+  expect_parse_error("# LACeS census day 1\n# degraded: lost_sites=70000 "
+                     "canary_alarms=2\n" +
+                         csv_header() + "\n",
+                     "line 2", "bad lost_sites");
+  expect_parse_error("# LACeS census day 1\n# degraded: lost_sites=1 "
+                     "canary_alarms=-2\n" +
+                         csv_header() + "\n",
+                     "line 2", "bad canary_alarms");
+  expect_parse_error("# LACeS census day 4294967296\n" + csv_header() + "\n",
+                     "line 1", "bad day number");
+  expect_parse_error(
+      header + "2001:db8::/304,anycast,1,n/a,0,n/a,0,n/a,0,full,\n", "line 3",
+      "bad prefix length");
+  expect_parse_error(
+      header + "2001:db8::/200,anycast,1,n/a,0,n/a,0,n/a,0,full,\n", "line 3",
+      "bad prefix length");
+  // The degraded marker's space-separated fields still parse.
+  const auto degraded =
+      parse_str("# LACeS census day 2\n# degraded: lost_sites=65535 "
+                "canary_alarms=4294967295\n" +
+                csv_header() + "\n");
+  EXPECT_TRUE(degraded.degraded);
+  EXPECT_EQ(degraded.lost_sites, 65535u);
+  EXPECT_EQ(degraded.canary_alarms, 4294967295u);
 }
 
 }  // namespace

@@ -13,9 +13,11 @@
 // servers, origin and mirror alike.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -269,6 +271,46 @@ TEST(MeshPubSub, LateJoinerReplaysFromArchiveWhenLogEvicted) {
     EXPECT_EQ(follower.day_csv(day), archived_csv(reader, day))
         << "day " << day;
   }
+}
+
+// --- a publisher attached to an archive that already holds days ---
+
+TEST(MeshPubSub, PublisherOnPopulatedArchiveDiffsAgainstItsLastDay) {
+  const auto dir = fresh_dir("mesh_pubsub_populated");
+  store::ArchiveWriter writer(dir);
+  writer.append(make_day(1));
+  writer.append(make_day(2));
+
+  // The publisher arrives after two archived days: its first live delta
+  // must be diffed against day 2 as archived, not against nothing.
+  Relay origin(relay_config(1), nullptr, dir);
+  origin.attach_publisher(writer);
+  CensusFollower follower(origin);
+  std::vector<DeltaChunk> day3;
+  origin.subscribe_local({}, [&day3](const DeltaChunk& chunk) {
+    if (chunk.day == 3) day3.push_back(chunk);
+  });
+  writer.append(make_day(3));
+
+  store::ArchiveReader reader(dir);
+  ASSERT_TRUE(follower.has_day(3));
+  EXPECT_EQ(follower.day_csv(3), archived_csv(reader, 3));
+
+  const auto published2 = make_day(2).published_prefixes();
+  const auto published3 = make_day(3).published_prefixes();
+  std::vector<net::Prefix> dropped;
+  std::set_difference(published2.begin(), published2.end(),
+                      published3.begin(), published3.end(),
+                      std::back_inserter(dropped));
+  ASSERT_FALSE(dropped.empty());
+  std::vector<net::Prefix> removals;
+  for (const auto& chunk : day3) {
+    removals.insert(removals.end(), chunk.removals.begin(),
+                    chunk.removals.end());
+  }
+  ASSERT_FALSE(day3.empty());
+  EXPECT_TRUE(day3.back().last);
+  EXPECT_EQ(removals, dropped);
 }
 
 // --- stale cursor at a pure relay: typed refusal, then recovery ---

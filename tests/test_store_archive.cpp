@@ -165,6 +165,47 @@ TEST(StoreArchive, ImportCsvBridgesPublicationFiles) {
   EXPECT_EQ(*loaded, expected);
 }
 
+// csv_bytes is the byte length of the day's §4.2.4 file, whatever shape the
+// day has and however it reached the archive; the writer's counter adds
+// exactly that many bytes.
+TEST(StoreArchive, CsvBytesMatchRenderedPublication) {
+  auto& csv_total =
+      obs::Registry::global().counter("laces_store_csv_bytes_total");
+  ArchiveWriter writer(fresh_dir("archive_csv_bytes"));
+  const auto expect_counted = [&](const census::DailyCensus& day,
+                                  bool via_import) {
+    const std::string csv = census::render_census(day);
+    const auto before = csv_total.value();
+    std::istringstream in(csv);
+    const ManifestEntry& entry =
+        via_import ? import_csv(writer, in) : writer.append(day);
+    EXPECT_EQ(entry.csv_bytes, csv.size()) << "day " << day.day;
+    EXPECT_EQ(csv_total.value() - before, csv.size()) << "day " << day.day;
+  };
+
+  expect_counted(make_day(1), false);  // healthy
+
+  auto degraded = make_day(2, /*spread=*/6);
+  degraded.degraded = true;
+  degraded.lost_sites = 3;
+  degraded.canary_alarms = 12;
+  ASSERT_NE(census::render_census(degraded).find("# degraded: "),
+            std::string::npos);
+  expect_counted(degraded, false);
+
+  // Records, but none published: the file is its header lines alone.
+  census::DailyCensus unpublished;
+  unpublished.day = 3;
+  census::PrefixRecord unicast;
+  unicast.prefix = v4(10, 3, 0);
+  unicast.anycast_based[net::Protocol::kIcmp] = {core::Verdict::kUnicast, 1};
+  unpublished.records.emplace(unicast.prefix, unicast);
+  ASSERT_TRUE(unpublished.published_prefixes().empty());
+  expect_counted(unpublished, false);
+
+  expect_counted(make_day(4, /*spread=*/9), true);  // via import_csv
+}
+
 TEST(StoreArchive, CorruptSegmentIsReportedNotLoaded) {
   const auto dir = fresh_dir("archive_corrupt");
   {
