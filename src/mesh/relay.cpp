@@ -86,9 +86,8 @@ void Relay::attach_publisher(store::ArchiveWriter& writer) {
 // --- framing helpers ---
 
 std::vector<std::uint8_t> Relay::mesh_frame(const MeshMessage& message) const {
-  return serve::encode_frame(config_.key, FrameKind::kMesh, 0,
-                             encode_mesh(message),
-                             serve::kMeshProtocolVersion);
+  return serve::write_frame(config_.key, FrameKind::kMesh, 0, message,
+                            serve::kMeshProtocolVersion);
 }
 
 std::vector<std::uint8_t> Relay::response_frame(
@@ -100,8 +99,8 @@ std::vector<std::uint8_t> Relay::response_frame(
 std::optional<MeshMessage> Relay::open(
     std::span<const std::uint8_t> frame) const {
   try {
-    const serve::Frame f =
-        serve::decode_frame(config_.key, frame, config_.version_max);
+    const serve::FrameView f =
+        serve::read_frame(config_.key, frame, config_.version_max);
     if (f.kind != FrameKind::kMesh) return std::nullopt;
     return decode_mesh(f.payload);
   } catch (const ProtocolError&) {
@@ -288,7 +287,7 @@ bool Relay::deliver(Relay* from, std::span<const std::uint8_t> frame) {
   std::lock_guard lk(mu_);
   Peer* peer = find_peer(from);
   if (!peer) return false;  // stale frame after disconnect
-  handle_delta(*peer, std::move(*chunk));
+  handle_delta(*peer, std::move(*chunk), frame);
   return true;
 }
 
@@ -416,14 +415,21 @@ void Relay::append_log(DeltaChunk chunk) {
   }
 }
 
-void Relay::push_to(Subscription& sub, const DeltaChunk& chunk) {
+std::vector<std::uint8_t> Relay::build_push_frame(
+    const DeltaChunk& chunk, std::vector<std::uint8_t> storage) {
+  ++push_frames_built_;
+  return chunk_frame(config_.key, chunk, std::move(storage));
+}
+
+void Relay::push_to(Subscription& sub, const DeltaChunk& chunk,
+                    SharedFrame& frame) {
   const Cursor c{chunk.day, chunk.seq};
   if (sub.started && c <= sub.acked) return;  // already delivered
+  // A filter that keeps every row would only copy the chunk.
   std::optional<DeltaChunk> scoped;
-  if (sub.spec.family != 0 || !sub.spec.prefixes.empty()) {
+  if (!keeps_every_row(chunk, sub.spec.family, sub.spec.prefixes)) {
     scoped = filter_chunk(chunk, sub.spec.family, sub.spec.prefixes);
   }
-  const DeltaChunk& filtered = scoped ? *scoped : chunk;
   ++sub.chunks_pushed;
   ++deltas_forwarded_;
   pushed_counter_->add();
@@ -434,9 +440,17 @@ void Relay::push_to(Subscription& sub, const DeltaChunk& chunk) {
     Peer* p = find_peer(sub.peer);
     ++frames_sent_;
     if (p) ++p->deltas_sent;
-    delivered = sub.peer->deliver(this, mesh_frame(MeshMessage{filtered}));
+    std::vector<std::uint8_t> own;  // a filter that drops rows
+    if (scoped) {
+      own = build_push_frame(*scoped);
+    } else if (frame.bytes.empty()) {
+      frame.built = build_push_frame(chunk, std::move(frame.built));
+      frame.bytes = frame.built;
+    }
+    delivered = sub.peer->deliver(
+        this, scoped ? std::span<const std::uint8_t>(own) : frame.bytes);
   } else if (sub.sink) {
-    sub.sink(filtered);
+    sub.sink(scoped ? *scoped : chunk);
   }
   if (delivered) {
     // In-process delivery is the ack: the subscriber applied the chunk
@@ -452,7 +466,8 @@ void Relay::push_to(Subscription& sub, const DeltaChunk& chunk) {
   }
 }
 
-void Relay::push_chunk(const DeltaChunk& chunk) {
+void Relay::push_chunk(const DeltaChunk& chunk,
+                       std::span<const std::uint8_t> received) {
   // Priority classes flush high-priority subscribers first; ties break by
   // subscription id so the order is total and deterministic.
   std::vector<std::size_t> order(subs_.size());
@@ -463,7 +478,9 @@ void Relay::push_chunk(const DeltaChunk& chunk) {
     }
     return subs_[x].id < subs_[y].id;
   });
-  for (const std::size_t i : order) push_to(subs_[i], chunk);
+  SharedFrame frame{received, std::move(push_buffer_)};
+  for (const std::size_t i : order) push_to(subs_[i], chunk, frame);
+  push_buffer_ = std::move(frame.built);
 }
 
 bool Relay::replay_to(Subscription& sub) {
@@ -477,7 +494,10 @@ bool Relay::replay_to(Subscription& sub) {
     log_covers = front <= cursor;
   }
   if (log_covers) {
-    for (const DeltaChunk& chunk : delta_log_) push_to(sub, chunk);
+    for (const DeltaChunk& chunk : delta_log_) {
+      SharedFrame frame;
+      push_to(sub, chunk, frame);
+    }
     return true;
   }
   if (archive_dir_.empty()) return false;  // pure relay, log evicted
@@ -495,7 +515,10 @@ bool Relay::replay_to(Subscription& sub) {
     const auto cur = reader.load_day(day);
     const auto chunks = chunk_delta(store::compute_day_delta(prev.get(), *cur),
                                     config_.max_rows_per_chunk);
-    for (const DeltaChunk& chunk : chunks) push_to(sub, chunk);
+    for (const DeltaChunk& chunk : chunks) {
+      SharedFrame frame;
+      push_to(sub, chunk, frame);
+    }
   }
   return true;
 }
@@ -531,7 +554,8 @@ SubAck Relay::handle_subscribe(Peer& from, Subscribe sub) {
   return SubAck{id, false, "cursor predates the delta log"};
 }
 
-void Relay::handle_delta(Peer& from, DeltaChunk chunk) {
+void Relay::handle_delta(Peer& from, DeltaChunk chunk,
+                         std::span<const std::uint8_t> frame) {
   ++from.deltas_received;
   const Cursor c{chunk.day, chunk.seq};
   if (feed_started_ && c <= latest_) {
@@ -542,7 +566,7 @@ void Relay::handle_delta(Peer& from, DeltaChunk chunk) {
   }
   feed_started_ = true;
   latest_ = c;
-  push_chunk(chunk);  // fan through to our own subscribers
+  push_chunk(chunk, frame);  // fan through to our own subscribers
   if (chunk.last && server_ != nullptr) {
     // A completed day changes every longitudinal answer and un-falsifies
     // cached unknown-day errors.
@@ -608,6 +632,11 @@ Cursor Relay::feed_cursor() const {
 std::uint64_t Relay::frames_sent() const {
   std::lock_guard lk(mu_);
   return frames_sent_;
+}
+
+std::uint64_t Relay::push_frames_built() const {
+  std::lock_guard lk(mu_);
+  return push_frames_built_;
 }
 
 serve::MeshStatsResponse Relay::stats() const {

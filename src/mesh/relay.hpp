@@ -38,7 +38,18 @@
 //               its feed in exact (day, seq) order and a true return IS
 //               the ack (the publisher advances the subscription cursor on
 //               it — no ack frame can be lost or reordered). The lock
-//               chain follows tree edges parent -> child only.
+//               chain follows tree edges parent -> child only. A chunk's
+//               frame is written once: the origin builds it on first need
+//               and hands the same bytes to every peer that gets the chunk
+//               whole (no filter, or one that drops no row), and a relay
+//               passes the bytes it received on to such peers unchanged.
+//               That is valid because a push frame is request_id 0 at
+//               kMeshProtocolVersion under the one key the handshake
+//               forces on every link, so re-writing it would give the
+//               same bytes. A relay forwards only a frame it verified and
+//               decoded, never a duplicate, and only within the deliver()
+//               call that lent it the bytes; its replay log keeps decoded
+//               chunks. A peer whose filter drops rows gets its own frame.
 //   up          request(): a Forward or Subscribe is a call whose return
 //               value is the ForwardReply or SubAck, as accept_hello()
 //               returns Welcome or Reject. The caller holds no lock while
@@ -170,6 +181,10 @@ class Relay {
   /// Total kMesh frames this relay has sent, replies included (a query
   /// costs 2 per hop of its upstream walk; test_mesh_relay counts them).
   std::uint64_t frames_sent() const;
+  /// DeltaChunk frames this relay has written for peer subscribers: one
+  /// per chunk for all peers that get it whole, none when it forwards the
+  /// frame it received, plus one per peer whose filter drops rows.
+  std::uint64_t push_frames_built() const;
 
   /// Peer-to-peer transport, downward: `from` pushes one signed
   /// DeltaChunk frame. True means applied (or a duplicate) — the ack.
@@ -210,6 +225,14 @@ class Relay {
     std::function<void(const DeltaChunk&)> sink;
   };
 
+  /// One chunk's frame, shared by every peer subscription that gets the
+  /// chunk whole: the verified bytes this relay received, else built from
+  /// the chunk on first need. Lives no longer than the push.
+  struct SharedFrame {
+    std::span<const std::uint8_t> bytes;  // empty until received or built
+    std::vector<std::uint8_t> built;
+  };
+
   /// Handshake acceptor (responder side). Returns the encoded Welcome or
   /// Reject frame.
   std::vector<std::uint8_t> accept_hello(Relay* remote,
@@ -235,23 +258,31 @@ class Relay {
   /// Pub/sub handlers; run with mu_ held. A subscribe replays the
   /// backlog down to the subscriber before its SubAck returns.
   SubAck handle_subscribe(Peer& from, Subscribe sub);
-  /// Applies, fans out and logs one chunk; a duplicate is only counted.
-  void handle_delta(Peer& from, DeltaChunk chunk);
+  /// Applies, fans out and logs one chunk, which arrived as the verified
+  /// `frame`; a duplicate is only counted.
+  void handle_delta(Peer& from, DeltaChunk chunk,
+                    std::span<const std::uint8_t> frame);
 
   /// Commit-hook body: diff `rows` against the previous day's, keep them
   /// as the next diff base, chunk, fan out, log.
   void publish_day(const census::DailyCensus& census,
                    std::vector<store::DeltaRow> rows);
   /// Fans one chunk to every subscription (priority desc, id asc) with
-  /// per-subscription filtering; synchronous, mu_ held.
-  void push_chunk(const DeltaChunk& chunk);
+  /// per-subscription filtering; synchronous, mu_ held. `received` is
+  /// the chunk's verified frame when it came from a peer, else empty.
+  void push_chunk(const DeltaChunk& chunk,
+                  std::span<const std::uint8_t> received = {});
   /// Pushes chunks after `sub.acked` (or the whole feed) to one
   /// subscription, from the log or (origin) the archive; synchronous,
   /// mu_ held. Returns false when the cursor predates both.
   bool replay_to(Subscription& sub);
-  /// One filtered chunk to one subscription (an unfiltered one gets
-  /// `chunk` itself); synchronous, mu_ held.
-  void push_to(Subscription& sub, const DeltaChunk& chunk);
+  /// One filtered chunk to one subscription: one whose filter keeps every
+  /// row gets `chunk` itself and, if a peer, `frame`; synchronous, mu_
+  /// held.
+  void push_to(Subscription& sub, const DeltaChunk& chunk, SharedFrame& frame);
+  /// chunk_frame under our key in `storage`, counted in push_frames_built_.
+  std::vector<std::uint8_t> build_push_frame(
+      const DeltaChunk& chunk, std::vector<std::uint8_t> storage = {});
   void append_log(DeltaChunk chunk);
 
   /// Answers a forwarded canonical request body via the local server.
@@ -284,6 +315,10 @@ class Relay {
   /// Origin diff base: the last committed day's publication rows. Only
   /// the appending thread touches it (ArchiveWriter's append discipline).
   std::vector<store::DeltaRow> prev_rows_;
+  /// The shared frame's buffer, kept from push to push. A commit's frame
+  /// is ~0.5 MB: freeing that much each commit lets the allocator hand
+  /// the top of the heap back, and the next commit faults it in again.
+  std::vector<std::uint8_t> push_buffer_;
   std::uint64_t upstream_node_ = 0;  // whom we subscribe to (0 = nobody yet)
   bool upstream_active_ = false;
   std::uint64_t upstream_sub_id_ = 0;
@@ -300,6 +335,7 @@ class Relay {
   std::uint64_t forward_dups_suppressed_ = 0;  // refused at the hop budget
   std::uint64_t forwards_answered_ = 0;
   std::uint64_t frames_sent_ = 0;
+  std::uint64_t push_frames_built_ = 0;
 
   obs::Counter* published_counter_ = nullptr;
   obs::Counter* pushed_counter_ = nullptr;

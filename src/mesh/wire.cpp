@@ -13,6 +13,14 @@ MeshMessage decode_mesh(std::span<const std::uint8_t> bytes) {
   return codec::decode<MeshMessage, serve::ProtocolError>(bytes, "mesh");
 }
 
+std::vector<std::uint8_t> chunk_frame(const std::string& key,
+                                      const DeltaChunk& chunk,
+                                      std::vector<std::uint8_t> storage) {
+  return serve::write_frame(key, serve::FrameKind::kMesh, 0,
+                            codec::tagged<MeshMessage>(chunk),
+                            serve::kMeshProtocolVersion, std::move(storage));
+}
+
 std::vector<DeltaChunk> chunk_delta(store::DayDelta delta,
                                     std::size_t max_rows) {
   if (max_rows == 0) max_rows = 1;
@@ -40,17 +48,6 @@ std::vector<DeltaChunk> chunk_delta(store::DayDelta delta,
     chunks.push_back(std::move(chunk));
   } while (up < delta.upserts.size() || rm < delta.removals.size());
   return chunks;
-}
-
-store::DayDelta to_delta(const DeltaChunk& chunk) {
-  store::DayDelta delta;
-  delta.day = chunk.day;
-  delta.degraded = chunk.degraded;
-  delta.lost_sites = chunk.lost_sites;
-  delta.canary_alarms = chunk.canary_alarms;
-  delta.upserts = chunk.upserts;
-  delta.removals = chunk.removals;
-  return delta;
 }
 
 bool prefix_covers(const net::Prefix& filter, const net::Prefix& p) {
@@ -91,6 +88,18 @@ DeltaChunk filter_chunk(const DeltaChunk& chunk, std::uint8_t family,
     if (row_matches(p, family, prefixes)) out.removals.push_back(p);
   }
   return out;
+}
+
+bool keeps_every_row(const DeltaChunk& chunk, std::uint8_t family,
+                     const std::vector<net::Prefix>& prefixes) {
+  if (family == 0 && prefixes.empty()) return true;
+  const auto kept = [&](const net::Prefix& p) {
+    return row_matches(p, family, prefixes);
+  };
+  return std::all_of(
+             chunk.upserts.begin(), chunk.upserts.end(),
+             [&](const store::DeltaRow& row) { return kept(row.prefix); }) &&
+         std::all_of(chunk.removals.begin(), chunk.removals.end(), kept);
 }
 
 }  // namespace laces::mesh

@@ -180,6 +180,15 @@ using MeshMessage =
 std::vector<std::uint8_t> encode_mesh(const MeshMessage& message);
 MeshMessage decode_mesh(std::span<const std::uint8_t> bytes);
 
+/// A chunk's signed push frame (kMesh, request_id 0, kMeshProtocolVersion),
+/// written in one buffer straight from the chunk: the same bytes as
+/// encode_frame(key, kMesh, 0, encode_mesh(MeshMessage{chunk}),
+/// kMeshProtocolVersion), without the MeshMessage copy or a second buffer.
+/// The frame reuses `storage`'s capacity.
+std::vector<std::uint8_t> chunk_frame(const std::string& key,
+                                      const DeltaChunk& chunk,
+                                      std::vector<std::uint8_t> storage = {});
+
 /// Splits a day's delta into chunks of at most `max_rows` rows (upserts +
 /// removals), moving the rows into them. Always yields at least one chunk
 /// — an unchanged day still advances every subscriber's cursor. Chunking
@@ -187,10 +196,6 @@ MeshMessage decode_mesh(std::span<const std::uint8_t> bytes);
 /// coordinates.
 std::vector<DeltaChunk> chunk_delta(store::DayDelta delta,
                                     std::size_t max_rows);
-
-/// Reassembles a chunk into a DayDelta slice (a copy of its rows; a
-/// DeltaFollower applies the chunk itself).
-store::DayDelta to_delta(const DeltaChunk& chunk);
 
 /// True when subscription filter prefix `filter` covers census prefix `p`
 /// (same family, filter no longer than p, addresses nested).
@@ -201,5 +206,10 @@ bool prefix_covers(const net::Prefix& filter, const net::Prefix& p);
 /// still delivered so the subscriber's cursor stays continuous.
 DeltaChunk filter_chunk(const DeltaChunk& chunk, std::uint8_t family,
                         const std::vector<net::Prefix>& prefixes);
+
+/// True when the filter keeps every row of `chunk`, so that filter_chunk
+/// would return a copy equal to it.
+bool keeps_every_row(const DeltaChunk& chunk, std::uint8_t family,
+                     const std::vector<net::Prefix>& prefixes);
 
 }  // namespace laces::mesh

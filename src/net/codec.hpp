@@ -10,7 +10,9 @@
 //
 // encode() walks it with a Writer (the message is const), decode() with a
 // Reader (the message is filled in), so an encoder and its decoder cannot
-// drift apart. A field's C++ type picks its default encoding:
+// drift apart. encoded_size() walks it with a Writer over a ByteCounter,
+// which stores nothing, so a frame writer can size its one buffer exactly.
+// A field's C++ type picks its default encoding:
 //
 //   bool                  one byte, 0 or 1
 //   u8/u16/u32/u64, i64   fixed width, big-endian
@@ -21,18 +23,21 @@
 //   net::Prefix           its address, then a length byte (<= 32 / 128)
 //   std::optional<T>      presence bool, then T when present
 //   std::vector<T>        varint count, then each element
+//   std::variant<T...>    tag byte (variant index + 1), then the alternative
 //   a struct              its own fields()
 //
 // and an adaptor picks another: varint(x), u32_list(v), one_of(x, allowed)
 // for enum and code bytes, flags(b...) for bools packed into one byte.
+// Two more adaptors only write: tagged<V>(m) writes message m exactly as
+// variant V holding it would, without building the variant, and raw(bytes)
+// writes bytes that are already encoded, such as a frame's payload.
 //
-// A message variant is a tag byte (variant index + 1) and then the
-// alternative's fields, so new messages append at the end of a variant and
-// old tags keep their bytes. The decoder rejects an unknown tag, a bool
-// byte above 1, a byte outside its one_of() set, flag bits beyond those
-// declared, a varint too big for its field, an address family other than
-// 4 or 6, a prefix length beyond its family, a list count larger than the
-// bytes left, truncation, and trailing bytes.
+// A message variant's tag comes first, so new messages append at the end
+// of a variant and old tags keep their bytes. The decoder rejects an
+// unknown tag, a bool byte above 1, a byte outside its one_of() set, flag
+// bits beyond those declared, a varint too big for its field, an address
+// family other than 4 or 6, a prefix length beyond its family, a list
+// count larger than the bytes left, truncation, and trailing bytes.
 #pragma once
 
 #include <algorithm>
@@ -109,6 +114,58 @@ Flags<B...> flags(B&... bits) {
   return {{bits...}};
 }
 
+/// Message `m` written as variant `V` holding it would write it: the tag
+/// byte, then m's fields.
+template <class V, class T>
+struct Tagged {
+  const T& message;
+};
+template <class V, class T>
+Tagged<V, T> tagged(const T& message) {
+  return {message};
+}
+
+/// Index of alternative `T` in variant `V`.
+template <class V, class T, std::size_t I = 0>
+constexpr std::size_t alternative_index() {
+  static_assert(I < std::variant_size_v<V>, "not an alternative of V");
+  if constexpr (std::is_same_v<std::variant_alternative_t<I, V>, T>) {
+    return I;
+  } else {
+    return alternative_index<V, T, I + 1>();
+  }
+}
+
+/// Bytes that are already encoded, written as they are: no length, no tag.
+struct Raw {
+  std::span<const std::uint8_t> bytes;
+};
+inline Raw raw(std::span<const std::uint8_t> bytes) { return {bytes}; }
+
+/// Counts the bytes a ByteWriter would append and stores none: the
+/// sizing pass of a one-buffer write.
+class ByteCounter {
+ public:
+  void u8(std::uint8_t) { n_ += 1; }
+  void u16(std::uint16_t) { n_ += 2; }
+  void u32(std::uint32_t) { n_ += 4; }
+  void u64(std::uint64_t) { n_ += 8; }
+  void i64(std::int64_t) { n_ += 8; }
+  void f64(double) { n_ += 8; }
+  void varint(std::uint64_t v) {
+    do {
+      ++n_;
+      v >>= 7;
+    } while (v != 0);
+  }
+  void bytes(std::span<const std::uint8_t> data) { n_ += data.size(); }
+  void str(std::string_view s) { n_ += 4 + s.size(); }
+  std::size_t size() const { return n_; }
+
+ private:
+  std::size_t n_ = 0;
+};
+
 /// Where a Writer put a byte the decoder validates, so a test can corrupt
 /// exactly that byte.
 struct Mark {
@@ -123,15 +180,18 @@ struct Mark {
   std::uint8_t invalid = 0;
 };
 
+/// Writes fields to `Out`: a ByteWriter, or a ByteCounter for the sizing
+/// pass, which is the same walk and so counts exactly what is written.
+template <class Out>
 class Writer {
  public:
-  explicit Writer(std::vector<Mark>* marks = nullptr) : marks_(marks) {}
+  explicit Writer(Out& out, std::vector<Mark>* marks = nullptr)
+      : w_(out), marks_(marks) {}
 
   template <class... F>
   void operator()(const F&... f) {
     (put(f), ...);
   }
-  std::vector<std::uint8_t> take() { return w_.take(); }
 
  private:
   void mark(Mark::Kind kind, std::uint8_t invalid = 0) {
@@ -226,13 +286,25 @@ class Writer {
     std::apply([&](const auto&... b) { ((byte |= b << bit++), ...); }, f.bits);
     w_.u8(byte);
   }
+  template <class V, class T>
+  void put(Tagged<V, T> f) {
+    mark(Mark::kByte, static_cast<std::uint8_t>(std::variant_size_v<V> + 1));
+    w_.u8(static_cast<std::uint8_t>(alternative_index<V, T>() + 1));
+    put(f.message);
+  }
+  template <class... T>
+  void put(const std::variant<T...>& v) {
+    std::visit([this](const auto& m) { put(tagged<std::variant<T...>>(m)); },
+               v);
+  }
+  void put(Raw f) { w_.bytes(f.bytes); }
   template <class T>
     requires requires(Writer& io, const T& m) { fields(io, m); }
   void put(const T& m) {
     fields(*this, m);
   }
 
-  ByteWriter w_;
+  Out& w_;
   std::vector<Mark>* marks_;
 };
 
@@ -332,6 +404,15 @@ class Reader {
     int bit = 0;
     std::apply([&](auto&... b) { ((b = (v >> bit++) & 1), ...); }, f.bits);
   }
+  template <class... T>
+  void get(std::variant<T...>& v) {
+    const std::uint8_t tag = r_.u8();
+    const bool known = [&]<std::size_t... I>(std::index_sequence<I...>) {
+      return ((tag == I + 1 && (v.template emplace<I>(), true)) || ...);
+    }(std::index_sequence_for<T...>{});
+    if (!known) throw DecodeError("unknown tag " + std::to_string(tag));
+    std::visit([this](auto& m) { get(m); }, v);
+  }
   template <class T>
     requires requires(Reader& io, T& m) { fields(io, m); }
   void get(T& m) {
@@ -354,18 +435,25 @@ class Reader {
   ByteReader r_;
 };
 
-/// Tag byte (variant index + 1), then the alternative's fields. `marks`,
-/// when given, receives every validated byte's position.
+/// Bytes the fields would take when written.
+template <class... F>
+std::size_t encoded_size(const F&... f) {
+  ByteCounter count;
+  Writer<ByteCounter> w(count);
+  w(f...);
+  return count.size();
+}
+
+/// A message variant's bytes: tag byte (variant index + 1), then the
+/// alternative's fields. `marks`, when given, receives every validated
+/// byte's position.
 template <class V>
 std::vector<std::uint8_t> encode(const V& message,
                                  std::vector<Mark>* marks = nullptr) {
-  constexpr auto kUnknownTag =
-      static_cast<std::uint8_t>(std::variant_size_v<V> + 1);
-  if (marks) marks->push_back({Mark::kByte, 0, kUnknownTag});
-  Writer w(marks);
-  w(static_cast<std::uint8_t>(message.index() + 1));
-  std::visit([&w](const auto& m) { w(m); }, message);
-  return w.take();
+  ByteWriter out;
+  Writer<ByteWriter> w(out, marks);
+  w(message);
+  return out.take();
 }
 
 /// Inverse of encode(). Every rejection throws `Error`, its message
@@ -374,14 +462,8 @@ template <class V, class Error = DecodeError>
 V decode(std::span<const std::uint8_t> bytes, const char* what) {
   try {
     Reader r(bytes);
-    std::uint8_t tag = 0;
-    r(tag);
     V message;
-    const bool known = [&]<std::size_t... I>(std::index_sequence<I...>) {
-      return ((tag == I + 1 && (message.template emplace<I>(), true)) || ...);
-    }(std::make_index_sequence<std::variant_size_v<V>>{});
-    if (!known) throw DecodeError("unknown tag " + std::to_string(tag));
-    std::visit([&r](auto& m) { r(m); }, message);
+    r(message);
     if (r.remaining() != 0) throw DecodeError("trailing bytes");
     return message;
   } catch (const DecodeError& e) {

@@ -42,17 +42,22 @@ Response decode_response(std::span<const std::uint8_t> bytes) {
   return codec::decode<Response, ProtocolError>(bytes, "response");
 }
 
-std::vector<std::uint8_t> encode_frame(const std::string& key, FrameKind kind,
-                                       std::uint64_t request_id,
-                                       std::span<const std::uint8_t> payload,
-                                       std::uint8_t version) {
-  ByteWriter w;
+namespace frame_detail {
+
+ByteWriter begin_frame(FrameKind kind, std::uint64_t request_id,
+                       std::size_t payload_len, std::uint8_t version,
+                       std::vector<std::uint8_t> storage) {
+  ByteWriter w(std::move(storage));
+  w.reserve(kFrameHeaderBytes + payload_len + kFrameMacBytes);
   w.u16(kFrameMagic);
   w.u8(version);
   w.u8(static_cast<std::uint8_t>(kind));
   w.u64(request_id);
-  w.u32(static_cast<std::uint32_t>(payload.size()));
-  w.bytes(payload);
+  w.u32(static_cast<std::uint32_t>(payload_len));
+  return w;
+}
+
+std::vector<std::uint8_t> seal_frame(const std::string& key, ByteWriter& w) {
   // The MAC covers the whole frame prefix — header *and* payload — so a
   // tampered request_id or kind fails authentication, not just a tampered
   // body.
@@ -61,8 +66,18 @@ std::vector<std::uint8_t> encode_frame(const std::string& key, FrameKind kind,
   return w.take();
 }
 
-Frame decode_frame(const std::string& key, std::span<const std::uint8_t> bytes,
-                   std::uint8_t max_version) {
+}  // namespace frame_detail
+
+std::vector<std::uint8_t> encode_frame(const std::string& key, FrameKind kind,
+                                       std::uint64_t request_id,
+                                       std::span<const std::uint8_t> payload,
+                                       std::uint8_t version) {
+  return write_frame(key, kind, request_id, codec::raw(payload), version);
+}
+
+FrameView read_frame(const std::string& key,
+                     std::span<const std::uint8_t> bytes,
+                     std::uint8_t max_version) {
   try {
     ByteReader r(bytes);
     if (r.u16() != kFrameMagic) throw ProtocolError("frame: bad magic");
@@ -83,25 +98,30 @@ Frame decode_frame(const std::string& key, std::span<const std::uint8_t> bytes,
       throw ProtocolError("frame: mesh frames require protocol version >= " +
                           std::to_string(kMeshProtocolVersion));
     }
-    Frame frame;
+    FrameView frame;
     frame.version = version;
     frame.kind = static_cast<FrameKind>(kind);
     frame.request_id = r.u64();
-    const std::uint32_t len = r.u32();
-    const auto payload = r.bytes(len);
-    const auto mac_bytes = r.bytes(32);
+    frame.payload = r.bytes(r.u32());
+    const auto mac_bytes = r.bytes(kFrameMacBytes);
     if (!r.done()) throw ProtocolError("frame: trailing bytes");
     Sha256Digest mac;
     std::copy(mac_bytes.begin(), mac_bytes.end(), mac.begin());
-    const auto signed_prefix = bytes.first(bytes.size() - 32);
+    const auto signed_prefix = bytes.first(bytes.size() - kFrameMacBytes);
     if (!digest_equal(mac, core::frame_mac(key, signed_prefix))) {
       throw ProtocolError("frame: MAC verification failed");
     }
-    frame.payload.assign(payload.begin(), payload.end());
     return frame;
   } catch (const DecodeError& e) {
     throw ProtocolError(std::string("frame: ") + e.what());
   }
+}
+
+Frame decode_frame(const std::string& key, std::span<const std::uint8_t> bytes,
+                   std::uint8_t max_version) {
+  const FrameView view = read_frame(key, bytes, max_version);
+  return Frame{view.version, view.kind, view.request_id,
+               {view.payload.begin(), view.payload.end()}};
 }
 
 std::string_view request_label(const Request& request) {

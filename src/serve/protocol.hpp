@@ -450,7 +450,59 @@ Response decode_response(std::span<const std::uint8_t> bytes);
 
 // --- framing ---
 
-/// A parsed, authenticated frame.
+/// What a frame adds around its payload: the header before it (magic
+/// through payload_len) and the MAC after it.
+inline constexpr std::size_t kFrameHeaderBytes = 16;
+inline constexpr std::size_t kFrameMacBytes = 32;
+
+namespace frame_detail {
+/// A buffer sized for a whole frame whose payload is `payload_len` bytes,
+/// holding the frame's header; it reuses `storage`'s capacity.
+ByteWriter begin_frame(FrameKind kind, std::uint64_t request_id,
+                       std::size_t payload_len, std::uint8_t version,
+                       std::vector<std::uint8_t> storage);
+/// Appends the MAC over everything `w` holds and returns the frame.
+std::vector<std::uint8_t> seal_frame(const std::string& key, ByteWriter& w);
+}  // namespace frame_detail
+
+/// The one frame writer. A frame is built in one buffer: the header, then
+/// `body` written in place by the codec, then the MAC over both. A
+/// counting pass over the same fields() sizes the buffer first, so it
+/// never grows. `body` is anything the codec writes: a message variant,
+/// one message as its variant would write it (codec::tagged), or a body
+/// that is already encoded (codec::raw). The frame reuses `storage`'s
+/// capacity, so a caller that writes many frames can keep one buffer.
+template <class Body>
+std::vector<std::uint8_t> write_frame(const std::string& key, FrameKind kind,
+                                      std::uint64_t request_id,
+                                      const Body& body, std::uint8_t version,
+                                      std::vector<std::uint8_t> storage = {}) {
+  ByteWriter w =
+      frame_detail::begin_frame(kind, request_id, codec::encoded_size(body),
+                                version, std::move(storage));
+  codec::Writer<ByteWriter> io(w);
+  io(body);
+  return frame_detail::seal_frame(key, w);
+}
+
+/// An authenticated frame read in place: `payload` views the bytes it was
+/// read from and is valid only while they are.
+struct FrameView {
+  std::uint8_t version = kProtocolVersion;
+  FrameKind kind = FrameKind::kRequest;
+  std::uint64_t request_id = 0;
+  std::span<const std::uint8_t> payload;
+};
+
+/// The one frame reader: verifies structure and MAC and copies nothing.
+/// Throws ProtocolError on any mismatch. `max_version` lets a
+/// version-pinned endpoint (e.g. a v1-only relay in a skewed mesh)
+/// structurally refuse newer frames instead of parsing them.
+FrameView read_frame(const std::string& key,
+                     std::span<const std::uint8_t> bytes,
+                     std::uint8_t max_version = kProtocolVersionMax);
+
+/// A parsed, authenticated frame that owns its payload.
 struct Frame {
   std::uint8_t version = kProtocolVersion;
   FrameKind kind = FrameKind::kRequest;
@@ -458,17 +510,15 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
-/// Wraps a body in a signed frame. `version` defaults to the v1 data
-/// plane; mesh frames pass kMeshProtocolVersion (kMesh is rejected below
-/// v2 at decode).
+/// Wraps an encoded body in a signed frame (write_frame of codec::raw).
+/// `version` defaults to the v1 data plane; mesh frames pass
+/// kMeshProtocolVersion (kMesh is rejected below v2 at decode).
 std::vector<std::uint8_t> encode_frame(const std::string& key, FrameKind kind,
                                        std::uint64_t request_id,
                                        std::span<const std::uint8_t> payload,
                                        std::uint8_t version = kProtocolVersion);
 
-/// Verifies structure and MAC; throws ProtocolError on any mismatch.
-/// `max_version` lets a version-pinned endpoint (e.g. a v1-only relay in a
-/// skewed mesh) structurally refuse newer frames instead of parsing them.
+/// read_frame with the payload copied out, for callers that keep it.
 Frame decode_frame(const std::string& key, std::span<const std::uint8_t> bytes,
                    std::uint8_t max_version = kProtocolVersionMax);
 

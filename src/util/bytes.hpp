@@ -68,6 +68,8 @@ class ByteWriter {
     buf_.insert(buf_.end(), s.begin(), s.end());
   }
 
+  /// Room for `n` bytes in all, so appends up to that size never reallocate.
+  void reserve(std::size_t n) { buf_.reserve(n); }
   std::size_t size() const { return buf_.size(); }
   std::span<const std::uint8_t> view() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }

@@ -456,7 +456,13 @@ TEST(MeshPubSub, SubscribeRefusesALoopAndUpdatesARepeat) {
   };
 
   // origin is b's upstream: following b would close a feed cycle.
-  const SubAck loop = subscribe(b, origin, Subscribe{7});
+  const SubAck loop = subscribe(b, origin,
+                                Subscribe{.subscription_id = 7,
+                                          .family = 0,
+                                          .priority = 0,
+                                          .prefixes = {},
+                                          .resume = false,
+                                          .cursor = {}});
   EXPECT_EQ(loop.subscription_id, 7u);
   EXPECT_FALSE(loop.ok);
   EXPECT_EQ(loop.message, "subscription loop refused");
@@ -465,11 +471,165 @@ TEST(MeshPubSub, SubscribeRefusesALoopAndUpdatesARepeat) {
   // b subscribing again under the same id updates its one subscription.
   ASSERT_EQ(origin.stats().subscriptions.size(), 1u);
   const std::uint64_t id = origin.stats().subscriptions[0].id;
-  const SubAck repeat = subscribe(origin, b, Subscribe{id, 4});
+  const SubAck repeat = subscribe(origin, b,
+                                  Subscribe{.subscription_id = id,
+                                            .family = 4,
+                                            .priority = 0,
+                                            .prefixes = {},
+                                            .resume = false,
+                                            .cursor = {}});
   EXPECT_TRUE(repeat.ok);
   const auto subs = origin.stats().subscriptions;
   ASSERT_EQ(subs.size(), 1u);
   EXPECT_EQ(subs[0].family, 4u);
+}
+
+// --- one frame per chunk: relays forward the verified bytes ---
+
+TEST(MeshPubSub, RelayForwardsOnlyVerifiedNewChunks) {
+  const auto dir = fresh_dir("mesh_pubsub_forward");
+  store::ArchiveWriter writer(dir);
+  Relay origin(relay_config(1), nullptr, dir);
+  Relay mid(relay_config(2));
+  Relay leaf(relay_config(3));
+  origin.attach_publisher(writer);
+  ASSERT_TRUE(connect(origin, mid).ok);
+  ASSERT_TRUE(connect(mid, leaf).ok);
+  CensusFollower follower(leaf);
+  writer.append(make_day(1));
+  ASSERT_TRUE(follower.has_day(1));
+  // The origin wrote the day's one chunk frame; mid passed it on.
+  EXPECT_EQ(origin.push_frames_built(), 1u);
+  EXPECT_EQ(mid.push_frames_built(), 0u);
+
+  const auto leaf_received = [&leaf] {
+    return leaf.stats().peers.at(0).deltas_received;  // mid is its one peer
+  };
+  const Cursor leaf_cursor = leaf.feed_cursor();
+  const std::uint64_t received = leaf_received();
+  const Cursor follower_cursor = follower.cursor();
+  const auto leaf_unchanged = [&] {
+    EXPECT_EQ(leaf.feed_cursor(), leaf_cursor);
+    EXPECT_EQ(leaf_received(), received);
+    EXPECT_EQ(follower.cursor(), follower_cursor);
+    EXPECT_EQ(follower.days(), 1u);
+  };
+
+  // A day-2 chunk with any one byte flipped fails verification at mid,
+  // and nothing of it reaches the leaf.
+  const auto& key = mid.config().key;
+  DeltaChunk next;
+  next.day = 2;
+  next.last = true;
+  next.upserts = {{v4(10, 0, 9), "10.0.9.0/24,forwarded"}};
+  const auto frame = chunk_frame(key, next);
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    auto tampered = frame;
+    tampered[i] ^= 0x01;
+    EXPECT_FALSE(mid.deliver(&origin, tampered)) << "byte " << i;
+  }
+  EXPECT_EQ(mid.feed_cursor(), (Cursor{1, 0}));
+  leaf_unchanged();
+
+  // A duplicate verifies and is acked, but is not forwarded.
+  DeltaChunk again;
+  again.day = 1;
+  again.last = true;
+  EXPECT_TRUE(mid.deliver(&origin, chunk_frame(key, again)));
+  EXPECT_EQ(mid.stats().duplicate_deltas, 1u);
+  leaf_unchanged();
+
+  // The intact frame is applied at mid and forwarded, not re-written.
+  EXPECT_TRUE(mid.deliver(&origin, frame));
+  EXPECT_EQ(leaf.feed_cursor(), (Cursor{2, 0}));
+  EXPECT_EQ(leaf_received(), received + 1);
+  EXPECT_TRUE(follower.has_day(2));
+  EXPECT_EQ(mid.push_frames_built(), 0u);
+}
+
+TEST(MeshPubSub, FilterThatKeepsEveryRowSharesTheUnfilteredFrame) {
+  const auto dir = fresh_dir("mesh_pubsub_shared_frame");
+  store::ArchiveWriter writer(dir);
+  auto config = relay_config(1);
+  config.max_rows_per_chunk = 2;  // several chunks per day
+  Relay origin(config, nullptr, dir);
+  origin.attach_publisher(writer);
+  Relay whole(relay_config(2));    // unfiltered
+  Relay covered(relay_config(3));  // a filter that covers every row
+  Relay narrowed(relay_config(4)); // v6 only: drops the v4 rows
+  for (Relay* peer : {&whole, &covered, &narrowed}) {
+    ASSERT_TRUE(connect(origin, *peer).ok);
+  }
+  // Re-register a peer's subscription under its id with a filter.
+  const auto& key = origin.config().key;
+  const auto refilter = [&](Relay& peer, std::uint8_t family,
+                            std::vector<net::Prefix> prefixes) {
+    std::uint64_t id = 0;
+    for (const auto& sub : origin.stats().subscriptions) {
+      if (sub.subscriber == peer.name()) id = sub.id;
+    }
+    const auto frame = serve::encode_frame(
+        key, serve::FrameKind::kMesh, 0,
+        encode_mesh(MeshMessage{Subscribe{.subscription_id = id,
+                                          .family = family,
+                                          .priority = 0,
+                                          .prefixes = std::move(prefixes),
+                                          .resume = false,
+                                          .cursor = {}}}),
+        serve::kMeshProtocolVersion);
+    const auto reply = decode_mesh(
+        serve::decode_frame(key, origin.request(&peer, frame)).payload);
+    return std::get<SubAck>(reply).ok;
+  };
+  ASSERT_TRUE(refilter(covered, 0,
+                       {v4(10, 0, 0, 8), v6(0x20010db800000000ull, 32)}));
+  ASSERT_TRUE(refilter(narrowed, 6, {}));
+
+  // What the origin published, and what each peer relay applied.
+  std::vector<DeltaChunk> published;
+  std::vector<const DeltaChunk*> published_at;
+  origin.subscribe_local({}, [&](const DeltaChunk& chunk) {
+    published.push_back(chunk);
+    published_at.push_back(&chunk);
+  });
+  // A v4 local sink: it gets the chunk itself whenever it drops nothing.
+  std::vector<const DeltaChunk*> v4_local_at;
+  origin.subscribe_local(
+      SubscriptionSpec{4, 0, {v4(10, 0, 0, 8)}},
+      [&](const DeltaChunk& chunk) { v4_local_at.push_back(&chunk); });
+  std::vector<DeltaChunk> at_whole, at_covered, at_narrowed;
+  whole.subscribe_local({}, [&](const DeltaChunk& c) { at_whole.push_back(c); });
+  covered.subscribe_local(
+      {}, [&](const DeltaChunk& c) { at_covered.push_back(c); });
+  narrowed.subscribe_local(
+      {}, [&](const DeltaChunk& c) { at_narrowed.push_back(c); });
+
+  writer.append(make_day(1));
+  writer.append(make_day(2));
+  ASSERT_GT(published.size(), 2u);
+  EXPECT_EQ(at_whole, published);
+  EXPECT_EQ(at_covered, published);
+  ASSERT_EQ(at_narrowed.size(), published.size());
+  ASSERT_EQ(v4_local_at.size(), published.size());
+  const auto has = [](const DeltaChunk& chunk, net::IpVersion family) {
+    const auto in = [family](const net::Prefix& p) {
+      return p.version() == family;
+    };
+    return std::any_of(chunk.upserts.begin(), chunk.upserts.end(),
+                       [&](const store::DeltaRow& r) { return in(r.prefix); }) ||
+           std::any_of(chunk.removals.begin(), chunk.removals.end(), in);
+  };
+  std::uint64_t narrowed_frames = 0;
+  for (std::size_t i = 0; i < published.size(); ++i) {
+    EXPECT_EQ(at_narrowed[i], filter_chunk(published[i], 6, {})) << i;
+    if (has(published[i], net::IpVersion::kV4)) ++narrowed_frames;
+    EXPECT_EQ(v4_local_at[i] == published_at[i],
+              !has(published[i], net::IpVersion::kV6))
+        << i;
+  }
+  // One frame per chunk serves both `whole` and `covered`, so the two got
+  // the same bytes; only a chunk `narrowed` loses rows from costs another.
+  EXPECT_EQ(origin.push_frames_built(), published.size() + narrowed_frames);
 }
 
 // --- day commits roll the co-located server's negative cache ---

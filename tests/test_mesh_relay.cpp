@@ -301,10 +301,22 @@ TEST(MeshRelay, PeerEntryPointsDropWhatTheyCannotTrust) {
                                encode_mesh(message),
                                serve::kMeshProtocolVersion);
   };
-  const auto old_chunk = frame(MeshMessage{DeltaChunk{1, 0, true}});
+  const auto old_chunk = frame(MeshMessage{DeltaChunk{.day = 1,
+                                                      .seq = 0,
+                                                      .last = true,
+                                                      .degraded = false,
+                                                      .lost_sites = 0,
+                                                      .canary_alarms = 0,
+                                                      .upserts = {},
+                                                      .removals = {}}});
   const auto forward = frame(MeshMessage{Forward{
       1, 3, 1, serve::encode_request(serve::Request{serve::SummaryRequest{}})}});
-  const auto subscribe = frame(MeshMessage{Subscribe{1}});
+  const auto subscribe = frame(MeshMessage{Subscribe{.subscription_id = 1,
+                                                     .family = 0,
+                                                     .priority = 0,
+                                                     .prefixes = {},
+                                                     .resume = false,
+                                                     .cursor = {}}});
   const std::vector<std::uint8_t> garbage{1, 2, 3};
   const auto not_mesh = serve::encode_frame(
       key, serve::FrameKind::kRequest, 0,

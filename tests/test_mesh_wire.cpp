@@ -1,14 +1,21 @@
 // Mesh wire codec: tagged-body round-trips for all nine message types,
 // structural rejection (unknown tag, bad enum bytes, trailing bytes,
 // truncation), HMAC authentication and version gating through the kMesh
-// frame envelope, deterministic delta chunking, and filter semantics.
+// frame envelope (both frame readers), the one-buffer chunk frame against
+// the two-pass one, deterministic delta chunking, and filter semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <random>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "mesh/wire.hpp"
 #include "serve/protocol.hpp"
+#include "util/bytes.hpp"
+#include "util/sha256.hpp"
 
 namespace laces::mesh {
 namespace {
@@ -97,23 +104,142 @@ TEST(MeshWire, FrameEnvelopeAuthenticatesAndGatesVersion) {
   EXPECT_EQ(decoded.request_id, 42u);
   const MeshMessage expected{Hello{1, "a", 1, 2, true}};
   EXPECT_EQ(decode_mesh(decoded.payload), expected);
+  // The view reader returns the same frame with its payload left in place.
+  const auto view = serve::read_frame(key, frame, serve::kProtocolVersionMax);
+  EXPECT_EQ(view.kind, decoded.kind);
+  EXPECT_EQ(view.version, decoded.version);
+  EXPECT_EQ(view.request_id, decoded.request_id);
+  EXPECT_EQ(view.payload.data(), frame.data() + serve::kFrameHeaderBytes);
+  EXPECT_TRUE(std::equal(view.payload.begin(), view.payload.end(),
+                         payload.begin(), payload.end()));
 
+  // Every malformed frame below is refused by decode_frame and by the
+  // view reader under it.
+  const auto expect_rejected = [](const std::string& k,
+                                  std::span<const std::uint8_t> bytes,
+                                  std::uint8_t max_version) {
+    EXPECT_THROW(serve::decode_frame(k, bytes, max_version),
+                 serve::ProtocolError);
+    EXPECT_THROW(serve::read_frame(k, bytes, max_version),
+                 serve::ProtocolError);
+  };
   // A v1-pinned decoder refuses the mesh frame (version gate) — typed,
   // not a hang or a misparse.
-  EXPECT_THROW(serve::decode_frame(key, frame, serve::kProtocolVersion),
-               serve::ProtocolError);
+  expect_rejected(key, frame, serve::kProtocolVersion);
   // Wrong key fails authentication.
-  EXPECT_THROW(
-      serve::decode_frame("other-key", frame, serve::kProtocolVersionMax),
-      serve::ProtocolError);
+  expect_rejected("other-key", frame, serve::kProtocolVersionMax);
   // Flipping any single byte breaks the MAC (or the structure).
   for (std::size_t i = 0; i < frame.size(); ++i) {
+    SCOPED_TRACE("byte " + std::to_string(i));
     auto tampered = frame;
     tampered[i] ^= 0x01;
-    EXPECT_THROW(
-        serve::decode_frame(key, tampered, serve::kProtocolVersionMax),
-        serve::ProtocolError)
-        << "byte " << i;
+    expect_rejected(key, tampered, serve::kProtocolVersionMax);
+  }
+  // Truncation at every length, and a trailing byte.
+  for (std::size_t n = 0; n < frame.size(); ++n) {
+    SCOPED_TRACE("length " + std::to_string(n));
+    expect_rejected(key, std::span(frame.data(), n),
+                    serve::kProtocolVersionMax);
+  }
+  auto padded = frame;
+  padded.push_back(0);
+  expect_rejected(key, padded, serve::kProtocolVersionMax);
+}
+
+/// The frame envelope written out by hand (magic, version, kind,
+/// request_id 0, payload length, payload, HMAC over all of it), so the
+/// frame writer is checked against the layout, not against itself.
+std::vector<std::uint8_t> longhand_mesh_frame(
+    const std::string& key, std::span<const std::uint8_t> payload) {
+  ByteWriter w;
+  w.u16(serve::kFrameMagic);
+  w.u8(serve::kMeshProtocolVersion);
+  w.u8(static_cast<std::uint8_t>(serve::FrameKind::kMesh));
+  w.u64(0);
+  w.u32(static_cast<std::uint32_t>(payload.size()));
+  w.bytes(payload);
+  w.bytes(hmac_sha256(
+      std::span(reinterpret_cast<const std::uint8_t*>(key.data()), key.size()),
+      w.view()));
+  return w.take();
+}
+
+net::Prefix random_prefix(std::mt19937_64& rng) {
+  const std::uint64_t bits = rng();
+  if (bits % 2 == 0) {
+    return v4(static_cast<std::uint8_t>(bits >> 8),
+              static_cast<std::uint8_t>(bits >> 16),
+              static_cast<std::uint8_t>(bits >> 24));
+  }
+  return v6(bits << 16);
+}
+
+std::string random_line(std::mt19937_64& rng) {
+  std::string line(rng() % 300, 'x');
+  for (char& c : line) c = static_cast<char>('!' + rng() % 90);
+  return line;
+}
+
+DeltaChunk random_chunk(std::mt19937_64& rng, std::size_t upserts,
+                        std::size_t removals) {
+  DeltaChunk chunk;
+  chunk.day = static_cast<std::uint32_t>(rng() % 5000);
+  chunk.seq = static_cast<std::uint32_t>(rng() % 16);
+  chunk.last = rng() % 2 == 0;
+  chunk.degraded = rng() % 2 == 0;
+  chunk.lost_sites = static_cast<std::uint16_t>(rng());
+  chunk.canary_alarms = static_cast<std::uint32_t>(rng());
+  for (std::size_t i = 0; i < upserts; ++i) {
+    chunk.upserts.push_back({random_prefix(rng), random_line(rng)});
+  }
+  for (std::size_t i = 0; i < removals; ++i) {
+    chunk.removals.push_back(random_prefix(rng));
+  }
+  return chunk;
+}
+
+TEST(MeshWire, OneBufferChunkFrameMatchesTheTwoPassFrame) {
+  const std::string key = "mesh-test-key";
+  std::mt19937_64 rng(20261019);
+  std::vector<DeltaChunk> chunks;
+  for (int i = 0; i < 50; ++i) {
+    chunks.push_back(random_chunk(rng, rng() % 40, rng() % 20));
+  }
+  DeltaChunk v6_rows = random_chunk(rng, 0, 0);
+  v6_rows.upserts = {{v6(0x20010db800000000ull), "v6 upsert"},
+                     {v6(0x2a00145000000000ull, 32), ""}};
+  v6_rows.removals = {v6(0x20010db8000000ffull, 64)};
+  chunks.push_back(v6_rows);
+  chunks.push_back(random_chunk(rng, 0, 9));  // removals only
+  chunks.push_back(DeltaChunk{});             // empty
+  // A multi-chunk day whose row counts need two-byte varints.
+  store::DayDelta day;
+  day.day = 77;
+  for (std::size_t i = 0; i < 450; ++i) {
+    day.upserts.push_back({random_prefix(rng), random_line(rng)});
+  }
+  for (std::size_t i = 0; i < 130; ++i) {
+    day.removals.push_back(random_prefix(rng));
+  }
+  const auto day_chunks = chunk_delta(day, 200);
+  ASSERT_EQ(day_chunks.size(), 3u);
+  chunks.insert(chunks.end(), day_chunks.begin(), day_chunks.end());
+
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    SCOPED_TRACE("chunk " + std::to_string(i));
+    const auto payload = encode_mesh(MeshMessage{chunks[i]});
+    const auto two_pass = serve::encode_frame(
+        key, serve::FrameKind::kMesh, 0, payload, serve::kMeshProtocolVersion);
+    EXPECT_EQ(chunk_frame(key, chunks[i]), two_pass);
+    EXPECT_EQ(two_pass, longhand_mesh_frame(key, payload));
+    EXPECT_EQ(codec::encoded_size(MeshMessage{chunks[i]}), payload.size());
+  }
+  // Every other mesh message written in place matches too.
+  for (const MeshMessage& message : sample_messages()) {
+    const auto payload = encode_mesh(message);
+    EXPECT_EQ(serve::write_frame(key, serve::FrameKind::kMesh, 0, message,
+                                 serve::kMeshProtocolVersion),
+              longhand_mesh_frame(key, payload));
   }
 }
 
@@ -160,11 +286,16 @@ TEST(MeshWire, ChunkingCoversEveryRowDeterministically) {
   // Deterministic re-chunking: a replayed day lands on identical
   // (day, seq) coordinates.
   EXPECT_EQ(chunk_delta(delta, 4), chunks);
-  // A single big chunk round-trips through to_delta exactly.
+  // A single big chunk carries the delta's header and every row exactly.
   const auto whole = chunk_delta(delta, 1000);
   ASSERT_EQ(whole.size(), 1u);
   EXPECT_TRUE(whole[0].last);
-  EXPECT_EQ(to_delta(whole[0]), delta);
+  EXPECT_EQ(whole[0].day, delta.day);
+  EXPECT_EQ(whole[0].degraded, delta.degraded);
+  EXPECT_EQ(whole[0].lost_sites, delta.lost_sites);
+  EXPECT_EQ(whole[0].canary_alarms, delta.canary_alarms);
+  EXPECT_EQ(whole[0].upserts, delta.upserts);
+  EXPECT_EQ(whole[0].removals, delta.removals);
 }
 
 TEST(MeshWire, EmptyDeltaStillYieldsOneCursorAdvancingChunk) {
