@@ -15,6 +15,12 @@
 // queries cost and its natural unit is transfer rate, not request rate.
 // It gets its own pass below, reported in MB/s (printed, not gated).
 //
+// A last one-thread pass walks the history of prefixes over an archive one
+// day longer than its segment cache and reports the segment loads per walk
+// after the first (history_segment_loads_per_walk). It is a count, so
+// runner noise cannot move it: a walk that visits the cached days first
+// loads 1 segment, one in manifest order loads every day's.
+//
 // Emits BENCH_serve.json for the CI regression gate:
 //   python3 scripts/check_bench.py BENCH_serve.json --bench serve
 // LACES_BENCH_SHORT=1 shrinks the workload for CI runners.
@@ -34,6 +40,7 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "store/archive.hpp"
+#include "store/query.hpp"
 #include "util/sha256.hpp"
 #include "util/stats.hpp"
 
@@ -44,6 +51,8 @@ using namespace laces;
 
 constexpr double kThroughputBar = 10000.0;  // req/s, hard acceptance bar
 constexpr double kRecorderOverheadBar = 0.03;  // flight recorder vs off
+constexpr std::uint32_t kWalkDays = 4;  // walk archive; its cache is 1 less
+constexpr int kWalks = 16;
 
 }  // namespace
 
@@ -62,10 +71,12 @@ int main(int argc, char** argv) {
   const fs::path dir = fs::temp_directory_path() / "laces_bench_serve";
   fs::remove_all(dir);
   const std::uint32_t days = short_mode ? 2 : 3;
+  std::vector<census::DailyCensus> census_days;
   {
     store::ArchiveWriter writer(dir);
     for (std::uint32_t day = 1; day <= days; ++day) {
-      writer.append(pipeline.run_day(day));
+      census_days.push_back(pipeline.run_day(day));
+      writer.append(census_days.back());
     }
   }
 
@@ -155,11 +166,43 @@ int main(int argc, char** argv) {
           .count();
   server.drain();
 
+  // History walks on one thread over kWalkDays days (the real days
+  // relabelled) through a cache of kWalkDays - 1.
+  const fs::path walk_dir = fs::temp_directory_path() / "laces_bench_walk";
+  fs::remove_all(walk_dir);
+  {
+    store::ArchiveWriter writer(walk_dir);
+    for (std::uint32_t day = 1; day <= kWalkDays; ++day) {
+      census::DailyCensus census = census_days[(day - 1) % days];
+      census.day = day;
+      writer.append(census);
+    }
+  }
+  double loads_per_walk = 0.0;
+  {
+    store::ArchiveReader walk_reader(walk_dir, kWalkDays - 1);
+    store::QueryEngine engine(walk_reader);
+    engine.history(prefixes.front());
+    const std::uint64_t first_walk = walk_reader.cache_misses();
+    for (int walk = 1; walk < kWalks; ++walk) {
+      engine.history(prefixes[walk % prefixes.size()]);
+    }
+    loads_per_walk =
+        static_cast<double>(walk_reader.cache_misses() - first_walk) /
+        (kWalks - 1);
+  }
+  fs::remove_all(walk_dir);
+
   // The load report's JSON, led by the hashing backend every frame MAC
-  // ran on.
+  // ran on and the walk's load count.
   const std::string backend(sha256_backend());
+  char walk_json[80];
+  std::snprintf(walk_json, sizeof walk_json,
+                "  \"history_segment_loads_per_walk\": %.3f,\n",
+                loads_per_walk);
   std::string json = report.to_json();
-  json.replace(0, 2, "{\n  \"sha256_backend\": \"" + backend + "\",\n");
+  json.replace(0, 2, "{\n  \"sha256_backend\": \"" + backend + "\",\n" +
+                         walk_json);
   std::ofstream(json_path) << json;
   std::printf("=== laces_serve throughput ===\n");
   std::printf("sha256 backend: %s\n", backend.c_str());
@@ -181,6 +224,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(export_days),
               export_bytes / 1e6, export_s,
               export_s > 0 ? export_bytes / 1e6 / export_s : 0.0);
+  std::printf("history walks: %.3f segment loads per walk after the first "
+              "(%u days, cache %u, %d walks)\n",
+              loads_per_walk, kWalkDays, kWalkDays - 1, kWalks);
   std::printf("flight recorder: %.2f%% median overhead across %zu off/on "
               "pairs (bar %.0f%%); best on-pass %.0f req/s\n",
               100.0 * overhead, pair_overheads.size(),

@@ -1,5 +1,9 @@
 #include "serve/cache.hpp"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace laces::serve {
 namespace {
 
@@ -114,14 +118,6 @@ void ResponseCache::insert_negative(
   }
 }
 
-void ResponseCache::invalidate_negative() {
-  for (const auto& shard : shards_) {
-    std::lock_guard lock(shard->mutex);
-    shard->neg_by_key.clear();
-    shard->neg_lru.clear();
-  }
-}
-
 void ResponseCache::clear() {
   for (const auto& shard : shards_) {
     std::lock_guard lock(shard->mutex);
@@ -130,6 +126,13 @@ void ResponseCache::clear() {
     shard->neg_by_key.clear();
     shard->neg_lru.clear();
   }
+#if defined(__GLIBC__)
+  // A clear drops every cached answer at once (a day roll), and an
+  // ExportDay answer is ~0.5 MB. glibc keeps freed memory in its arenas
+  // for reuse; give the free pages back, so the resident set after a day
+  // roll is what the process still holds, not its high-water mark.
+  malloc_trim(0);
+#endif
 }
 
 std::size_t ResponseCache::size() const {

@@ -13,8 +13,8 @@
 // lookups of something the archive does not have were previously a miss
 // every time, re-executing the query just to rediscover the absence. The
 // arena is separate so an attacker enumerating absent days can evict at
-// most negative entries, never real responses, and the whole arena can be
-// invalidated at once when an archive day commits and absences change.
+// most negative entries, never real responses. clear() drops both arenas
+// when an archive day commits and absences change.
 #pragma once
 
 #include <cstdint>
@@ -55,11 +55,8 @@ class ResponseCache {
   void insert_negative(std::span<const std::uint8_t> key,
                        std::shared_ptr<const std::vector<std::uint8_t>> value);
 
-  /// Drops every negative entry — call when the set of absences changes
-  /// (an archive day committed).
-  void invalidate_negative();
-
-  /// Drops everything, both arenas (mesh relays on a feed day roll).
+  /// Drops everything, both arenas (mesh relays on a feed day roll), and
+  /// on glibc returns the process's free heap pages to the OS.
   void clear();
 
   std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }

@@ -353,8 +353,9 @@ void Server::worker_loop() {
     // fidelity. The one exception is kUnknownDay: the day's absence is a
     // durable fact of the (immutable) manifest, so its error body goes to
     // the bounded negative arena — repeated absent-day lookups stop
-    // re-walking the archive. The arena is invalidated wholesale when an
-    // append changes what exists (mesh relays do this on day commit).
+    // re-walking the archive. The arena is cleared with the rest of the
+    // cache when an append changes what exists (mesh relays do this on
+    // day commit).
     if (!std::holds_alternative<ErrorResponse>(response)) {
       cache_.insert(job.canonical,
                     std::make_shared<const std::vector<std::uint8_t>>(body));

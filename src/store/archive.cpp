@@ -173,9 +173,7 @@ std::shared_ptr<const census::DailyCensus> ArchiveReader::load_day(
   {
     std::shared_lock lock(cache_mutex_);
     if (const auto it = cache_.find(day); it != cache_.end()) {
-      it->second->last_use.store(
-          use_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
-          std::memory_order_relaxed);
+      touch(*it->second);
       hits_.fetch_add(1, std::memory_order_relaxed);
       cache_hits_->add(1);
       return it->second->census;
@@ -189,55 +187,108 @@ std::shared_ptr<const census::DailyCensus> ArchiveReader::load_day(
     throw ArchiveError("load_day: day " + std::to_string(day) +
                        " is not in the archive");
   }
-  obs::Span span("store.load_day");
-  span.set_attr("day", std::to_string(day));
+  std::promise<std::shared_ptr<const census::DailyCensus>> decoded;
+  {
+    std::unique_lock lock(cache_mutex_);
+    if (const auto it = cache_.find(day); it != cache_.end()) {
+      // Inserted since the shared-lock lookup.
+      touch(*it->second);
+      return it->second->census;
+    }
+    if (const auto it = decoding_.find(day); it != decoding_.end()) {
+      // Another thread is decoding this day: wait for its result rather
+      // than decode the same segment a second time.
+      const auto pending = it->second;
+      lock.unlock();
+      return pending.get();
+    }
+    decoding_.emplace(day, decoded.get_future().share());
+  }
 
   // Read + digest-check + decode happen outside any lock: a slow decode
   // must not block concurrent cache hits on other days.
-  const auto bytes = read_segment_bytes(*entry);
-  census::DailyCensus census;
+  std::shared_ptr<const census::DailyCensus> shared;
   try {
-    census = decode_verified_segment(bytes);
-  } catch (const ArchiveError&) {
-    corrupt_segments_->add(1);
+    obs::Span span("store.load_day");
+    span.set_attr("day", std::to_string(day));
+    const auto bytes = read_segment_bytes(*entry);
+    census::DailyCensus census;
+    try {
+      census = decode_verified_segment(bytes);
+    } catch (const ArchiveError&) {
+      corrupt_segments_->add(1);
+      throw;
+    }
+    if (census.day != day) {
+      corrupt_segments_->add(1);
+      throw ArchiveError("segment " + entry->file + ": holds day " +
+                         std::to_string(census.day) + ", manifest says " +
+                         std::to_string(day));
+    }
+    segments_loaded_->add(1);
+    shared = std::make_shared<const census::DailyCensus>(std::move(census));
+  } catch (...) {
+    {
+      std::unique_lock lock(cache_mutex_);
+      decoding_.erase(day);
+    }
+    decoded.set_exception(std::current_exception());
     throw;
   }
-  if (census.day != day) {
-    corrupt_segments_->add(1);
-    throw ArchiveError("segment " + entry->file + ": holds day " +
-                       std::to_string(census.day) + ", manifest says " +
-                       std::to_string(day));
-  }
-  segments_loaded_->add(1);
 
-  auto shared =
-      std::make_shared<const census::DailyCensus>(std::move(census));
-  std::unique_lock lock(cache_mutex_);
-  if (const auto it = cache_.find(day); it != cache_.end()) {
-    // Another thread decoded the same day while we did: keep its entry
-    // (contents are identical — segments are deterministic).
-    it->second->last_use.store(
-        use_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
-        std::memory_order_relaxed);
-    return it->second->census;
+  // The evicted day, if this was its last reference, is freed after the
+  // lock is released.
+  std::unique_ptr<CachedDay> evicted;
+  {
+    std::unique_lock lock(cache_mutex_);
+    decoding_.erase(day);
+    auto cached = std::make_unique<CachedDay>();
+    cached->census = shared;
+    touch(*cached);
+    cache_.emplace(day, std::move(cached));
+    if (cache_.size() > cache_capacity_) {
+      // Evict the smallest recency tick (the least recently used entry).
+      auto victim = cache_.begin();
+      for (auto it = cache_.begin(); it != cache_.end(); ++it) {
+        if (it->second->last_use.load(std::memory_order_relaxed) <
+            victim->second->last_use.load(std::memory_order_relaxed)) {
+          victim = it;
+        }
+      }
+      evicted = std::move(victim->second);
+      cache_.erase(victim);
+    }
   }
-  auto cached = std::make_unique<CachedDay>();
-  cached->census = shared;
-  cached->last_use.store(use_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
-                         std::memory_order_relaxed);
-  cache_.emplace(day, std::move(cached));
-  if (cache_.size() > cache_capacity_) {
-    // Evict the smallest recency tick (the least recently used entry).
-    auto victim = cache_.begin();
-    for (auto it = cache_.begin(); it != cache_.end(); ++it) {
-      if (it->second->last_use.load(std::memory_order_relaxed) <
-          victim->second->last_use.load(std::memory_order_relaxed)) {
-        victim = it;
+  decoded.set_value(shared);
+  return shared;
+}
+
+void ArchiveReader::for_each_day(const DayVisitor& visit) {
+  const auto& entries = manifest_.entries;
+  using Pinned = std::shared_ptr<const census::DailyCensus>;
+  std::vector<std::pair<std::size_t, Pinned>> resident;
+  std::vector<bool> visited(entries.size(), false);
+  {
+    std::shared_lock lock(cache_mutex_);
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      if (const auto it = cache_.find(entries[i].day); it != cache_.end()) {
+        touch(*it->second);
+        resident.emplace_back(i, it->second->census);
+        visited[i] = true;
       }
     }
-    cache_.erase(victim);
   }
-  return shared;
+  hits_.fetch_add(resident.size(), std::memory_order_relaxed);
+  cache_hits_->add(resident.size());
+  // Each pinned day is released right after its visit, so a day another
+  // thread evicts meanwhile is not kept alive to the end of the walk.
+  for (auto& [i, census] : resident) {
+    const auto pinned = std::move(census);
+    visit(i, *pinned);
+  }
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (!visited[i]) visit(i, *load_day(entries[i].day));
+  }
 }
 
 bool ArchiveReader::has_checkpoint() const {
@@ -252,9 +303,9 @@ Checkpoint ArchiveReader::load_checkpoint() const {
 census::LongitudinalStore ArchiveReader::replay_longitudinal() {
   obs::Span span("store.replay");
   census::LongitudinalStore store;
-  for (const auto& entry : manifest_.entries) {
-    store.add(*load_day(entry.day));
-  }
+  for_each_day([&store](std::size_t, const census::DailyCensus& census) {
+    store.add(census);
+  });
   span.set_attr("days", std::to_string(manifest_.entries.size()));
   return store;
 }

@@ -5,7 +5,10 @@
 // resume checkpoint. The reader lazily loads days through a small LRU
 // segment cache, verifies every segment's SHA-256 footer once and then
 // compares the manifest digest with that verified footer, and bridges to
-// the §4.2.4 CSV publication format in both directions. Everything is
+// the §4.2.4 CSV publication format in both directions. Walks over every
+// archived day (for_each_day) visit the cached days first, so a walk
+// never evicts a day it has yet to visit: a serial walk over D days
+// through a C-day cache misses D - C times, not D. Everything is
 // instrumented with laces_obs (bytes, compression ratio inputs, cache
 // hits/misses, spans).
 #pragma once
@@ -14,6 +17,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <functional>
+#include <future>
 #include <iosfwd>
 #include <memory>
 #include <shared_mutex>
@@ -69,13 +73,15 @@ class ArchiveWriter {
 };
 
 /// Thread-safety: after construction an ArchiveReader is safe for
-/// concurrent load_day / export_csv / manifest() calls from any number of
-/// threads (laces_serve workers hammer one reader). The decoded-segment
-/// cache takes a shared lock on the hit path — a relaxed recency tick is
-/// the only write — and an exclusive lock only to insert after a miss;
-/// segment decode always happens outside any lock, so a slow decode never
-/// blocks concurrent hits. replay_longitudinal() and verify() are safe but
-/// sequential; checkpoint accessors touch only the filesystem.
+/// concurrent load_day / for_each_day / export_csv / manifest() calls from
+/// any number of threads (laces_serve workers hammer one reader). The
+/// decoded-segment cache takes a shared lock on the hit path — a relaxed
+/// recency tick is the only write — and an exclusive lock only to insert
+/// after a miss; segment decode always happens outside any lock, so a slow
+/// decode never blocks concurrent hits. Each missing day is decoded once:
+/// threads that miss a day another thread is decoding wait for that
+/// decode. replay_longitudinal() and verify() are safe but sequential;
+/// checkpoint accessors touch only the filesystem.
 class ArchiveReader {
  public:
   /// Opens the archive at `dir` (the manifest must exist).
@@ -88,14 +94,29 @@ class ArchiveReader {
 
   /// Loads one day through the LRU cache. The segment footer AND the
   /// manifest digest are both checked; a corrupted segment throws
-  /// ArchiveError and is never returned. Throws on unknown days.
+  /// ArchiveError and is never returned. Throws on unknown days. A call
+  /// that misses a day another thread is decoding counts as a miss and
+  /// returns that decode's result (or rethrows its error).
   std::shared_ptr<const census::DailyCensus> load_day(std::uint32_t day);
+
+  /// Visits every archived day exactly once, as visit(index, census) with
+  /// `index` into manifest().entries. The days whose decoded segment is
+  /// cached come first (taken, and counted as hits, under one shared
+  /// lock), then the others through load_day in manifest order, so the
+  /// walk never evicts a day it has yet to visit. `visit` runs with no
+  /// lock held and may itself call load_day. Concurrent walks can still
+  /// evict each other's days and then miss a few more.
+  using DayVisitor =
+      std::function<void(std::size_t index, const census::DailyCensus&)>;
+  void for_each_day(const DayVisitor& visit);
 
   bool has_checkpoint() const;
   Checkpoint load_checkpoint() const;
 
   /// Reconstructs longitudinal state by replaying every archived day (the
   /// slow reference path; resume uses the checkpoint's counters instead).
+  /// Days are added in for_each_day's order: LongitudinalStore::add gives
+  /// the same state for any order of the same days.
   census::LongitudinalStore replay_longitudinal();
 
   /// Writes one archived day in the §4.2.4 CSV publication format.
@@ -123,6 +144,13 @@ class ArchiveReader {
     std::atomic<std::uint64_t> last_use{0};
   };
 
+  /// Marks `cached` the most recently used day.
+  void touch(CachedDay& cached) {
+    cached.last_use.store(
+        use_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
+        std::memory_order_relaxed);
+  }
+
   /// Reads `entry`'s segment, verifies its footer (the one SHA-256 pass)
   /// and compares the manifest digest with that verified footer.
   std::vector<std::uint8_t> read_segment_bytes(const ManifestEntry& entry);
@@ -132,6 +160,11 @@ class ArchiveReader {
   std::size_t cache_capacity_;
   mutable std::shared_mutex cache_mutex_;
   std::unordered_map<std::uint32_t, std::unique_ptr<CachedDay>> cache_;
+  /// Days being decoded now (guarded by cache_mutex_), so concurrent
+  /// misses of one day share a single decode.
+  using Decoded =
+      std::shared_future<std::shared_ptr<const census::DailyCensus>>;
+  std::unordered_map<std::uint32_t, Decoded> decoding_;
   std::atomic<std::uint64_t> use_clock_{0};
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};

@@ -44,26 +44,26 @@ ArchiveSummary QueryEngine::summary() const {
 std::vector<HistoryDay> QueryEngine::history(const net::Prefix& prefix) {
   obs::Span span("query.history");
   span.set_attr("prefix", prefix.to_string());
-  std::vector<HistoryDay> out;
-  out.reserve(reader_.manifest().entries.size());
-  for (const auto& entry : reader_.manifest().entries) {
-    const auto census = reader_.load_day(entry.day);
-    HistoryDay h;
-    h.day = entry.day;
-    h.degraded = entry.degraded;
-    if (const census::PrefixRecord* rec = census->find(prefix)) {
+  const auto& entries = reader_.manifest().entries;
+  // The walk visits cached days first; filling by manifest index keeps the
+  // answer in day order.
+  std::vector<HistoryDay> out(entries.size());
+  reader_.for_each_day([&](std::size_t i, const census::DailyCensus& census) {
+    HistoryDay& h = out[i];
+    h.day = entries[i].day;
+    h.degraded = entries[i].degraded;
+    if (const census::PrefixRecord* rec = census.find(prefix)) {
       h.published = true;
       h.anycast_based = rec->anycast_based_detected();
       h.gcd_confirmed = rec->gcd_confirmed();
       h.max_vp_count = rec->max_vp_count();
       h.gcd_sites = rec->gcd_site_count;
     }
-    out.push_back(h);
-  }
+  });
   return out;
 }
 
-census::LongitudinalStore QueryEngine::longitudinal() {
+const census::LongitudinalStore& QueryEngine::longitudinal() {
   if (!replayed_) replayed_ = reader_.replay_longitudinal();
   return *replayed_;
 }
@@ -83,7 +83,7 @@ StabilityReport QueryEngine::stability() {
       return report;
     }
   }
-  const auto store = longitudinal();
+  const auto& store = longitudinal();
   report.anycast_based = store.anycast_based_stability();
   report.gcd = store.gcd_stability();
   return report;

@@ -1,8 +1,9 @@
 // Archive query engine (the `laces query` subcommand).
 //
 // Answers longitudinal questions against an archive without re-running any
-// measurement: per-prefix detection history (walking segments through the
-// reader's LRU cache), intermittent-prefix sets, and stability statistics.
+// measurement: per-prefix detection history (one ArchiveReader::for_each_day
+// walk, which visits the cached days first), intermittent-prefix sets, and
+// stability statistics.
 // Day-level summaries come straight from the manifest — no segment is
 // touched — and stability prefers the checkpoint's incremental counters
 // over a full segment replay when one is present.
@@ -78,7 +79,7 @@ class QueryEngine {
   std::vector<net::Prefix> intermittent_gcd();
 
  private:
-  census::LongitudinalStore longitudinal();
+  const census::LongitudinalStore& longitudinal();
 
   ArchiveReader& reader_;
   std::optional<census::LongitudinalStore> replayed_;

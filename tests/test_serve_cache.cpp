@@ -1,6 +1,7 @@
 // Sharded response LRU cache: serial LRU semantics, sharding, counters,
 // and concurrent hammering (also the TSan target), plus concurrent
-// load_day() on one ArchiveReader exercising its shared-lock segment cache.
+// load_day() calls and history walks on one ArchiveReader exercising its
+// shared-lock segment cache.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +12,7 @@
 
 #include "serve/cache.hpp"
 #include "store/archive.hpp"
+#include "store/query.hpp"
 
 namespace laces::serve {
 namespace {
@@ -142,30 +144,66 @@ TEST(ServeCache, ConcurrentArchiveReaderLoadsAreConsistent) {
       writer.append(make_day(day));
     }
   }
-  // Cache smaller than the working set so hits, misses and evictions all
-  // happen while 8 threads pull overlapping days.
-  store::ArchiveReader reader(dir, /*cache_capacity=*/3);
+  // The walkers' prefixes (one per day, and one never published) and their
+  // single-thread answers.
+  std::vector<net::Prefix> prefixes;
+  for (std::uint32_t day = 1; day <= kDays + 1; ++day) {
+    prefixes.push_back(net::Ipv4Prefix(
+        net::Ipv4Address(10, static_cast<std::uint8_t>(day),
+                         static_cast<std::uint8_t>(day % 4), 0),
+        24));
+  }
+  std::vector<std::vector<store::HistoryDay>> reference;
+  {
+    store::ArchiveReader whole(dir, /*cache_capacity=*/kDays);
+    store::QueryEngine engine(whole);
+    for (const auto& prefix : prefixes) {
+      reference.push_back(engine.history(prefix));
+    }
+  }
+
   constexpr int kThreads = 8;
   constexpr int kLoadsPerThread = 200;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&reader, t] {
-      for (int i = 0; i < kLoadsPerThread; ++i) {
-        const std::uint32_t day = 1 + (t + i) % kDays;
-        const auto census = reader.load_day(day);
-        ASSERT_NE(census, nullptr);
-        EXPECT_EQ(census->day, day);
-        EXPECT_EQ(census->records.size(), 4u);
-      }
-    });
+  constexpr int kWalksPerThread = 50;
+  // Two inputs: every thread calls load_day; then half of them walk every
+  // day with QueryEngine::history while the rest call load_day.
+  for (const int walkers : {0, kThreads / 2}) {
+    SCOPED_TRACE(std::to_string(walkers) + " walkers");
+    // Cache smaller than the working set so hits, misses and evictions all
+    // happen while 8 threads pull overlapping days.
+    store::ArchiveReader reader(dir, /*cache_capacity=*/3);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        if (t < walkers) {
+          store::QueryEngine engine(reader);
+          for (int i = 0; i < kWalksPerThread; ++i) {
+            const std::size_t k = (t + i) % prefixes.size();
+            EXPECT_EQ(engine.history(prefixes[k]), reference[k]);
+          }
+          return;
+        }
+        for (int i = 0; i < kLoadsPerThread; ++i) {
+          const std::uint32_t day = 1 + (t + i) % kDays;
+          const auto census = reader.load_day(day);
+          ASSERT_NE(census, nullptr);
+          EXPECT_EQ(census->day, day);
+          EXPECT_EQ(census->records.size(), 4u);
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    // Accounting is exact even under contention: every load, and every
+    // day a walk visits, is counted exactly once as a hit or a miss.
+    const std::uint64_t loads =
+        static_cast<std::uint64_t>(kThreads - walkers) * kLoadsPerThread;
+    const std::uint64_t walks =
+        static_cast<std::uint64_t>(walkers) * kWalksPerThread;
+    EXPECT_EQ(reader.cache_hits() + reader.cache_misses(),
+              loads + walks * kDays);
+    EXPECT_GE(reader.cache_misses(), kDays);
   }
-  for (auto& thread : threads) thread.join();
-  // Accounting is exact even under contention: every load is counted
-  // exactly once as a hit or a miss.
-  EXPECT_EQ(reader.cache_hits() + reader.cache_misses(),
-            static_cast<std::uint64_t>(kThreads) * kLoadsPerThread);
-  EXPECT_GE(reader.cache_misses(), kDays);
 }
 
 }  // namespace

@@ -1,12 +1,16 @@
 // laces_store archive end-to-end: append/load via the manifest, the LRU
-// segment cache, CSV bridging in both directions, write-twice determinism,
-// checkpoint round-trips and corruption reporting.
+// segment cache (one decode per concurrently missed day) and the
+// cached-days-first walk over it, CSV bridging in both directions,
+// write-twice determinism, checkpoint round-trips and corruption
+// reporting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "census/output.hpp"
@@ -133,6 +137,176 @@ TEST(StoreArchive, LruCacheEvictsLeastRecentlyUsed) {
   EXPECT_EQ(*day1_first, *day1_again);
   reader.load_day(1);  // hit again
   EXPECT_EQ(reader.cache_hits(), 2u);
+}
+
+/// Appends days 1..`days` (make_day's records plus 192.0.2.0/24, detected
+/// by both methods on every day, and 192.0.3.0/24, anycast-based only, on
+/// odd days); day `degraded_day` is degraded (0: none).
+void write_shared_days(const fs::path& dir, std::uint32_t days,
+                       std::uint32_t degraded_day) {
+  ArchiveWriter writer(dir);
+  for (std::uint32_t day = 1; day <= days; ++day) {
+    census::DailyCensus census = make_day(day);
+    census::PrefixRecord every;
+    every.prefix = v4(192, 0, 2);
+    every.anycast_based[net::Protocol::kIcmp] = {core::Verdict::kAnycast, 3};
+    every.gcd_verdict = gcd::GcdVerdict::kAnycast;
+    every.gcd_site_count = 2;
+    every.gcd_locations = {0, 1};
+    census.records.emplace(every.prefix, every);
+    if (day % 2 == 1) {
+      census::PrefixRecord odd;
+      odd.prefix = v4(192, 0, 3);
+      odd.anycast_based[net::Protocol::kIcmp] = {core::Verdict::kAnycast, 4};
+      census.records.emplace(odd.prefix, odd);
+    }
+    census.degraded = day == degraded_day;
+    writer.append(census);
+  }
+}
+
+// A history walk visits the cached days first, so it never evicts a day it
+// has yet to visit: over 4 days through a 3-day cache the first walk misses
+// 4 times and every later walk exactly once (a walk in manifest order
+// misses 4 times every time). The answers equal a 4-day-cache reader's.
+TEST(StoreArchive, HistoryWalkVisitsCachedDaysFirst) {
+  const auto check = [](const std::string& name, std::uint32_t degraded_day,
+                        const std::vector<net::Prefix>& prefixes) {
+    SCOPED_TRACE(name);
+    const auto dir = fresh_dir(name);
+    write_shared_days(dir, 4, degraded_day);
+    ArchiveReader whole(dir, /*cache_capacity=*/4);
+    ArchiveReader reader(dir, /*cache_capacity=*/3);
+    QueryEngine reference(whole);
+    QueryEngine engine(reader);
+    for (std::size_t walk = 0; walk < 3 * prefixes.size(); ++walk) {
+      const net::Prefix& prefix = prefixes[walk % prefixes.size()];
+      const auto misses = reader.cache_misses();
+      const auto history = engine.history(prefix);
+      EXPECT_EQ(reader.cache_misses() - misses, walk == 0 ? 4u : 1u)
+          << "walk " << walk << " for " << prefix.to_string();
+      EXPECT_EQ(history, reference.history(prefix));
+      ASSERT_EQ(history.size(), 4u);
+      for (std::uint32_t i = 0; i < 4; ++i) {
+        EXPECT_EQ(history[i].day, i + 1);  // day order, whatever the walk's
+        EXPECT_EQ(history[i].degraded, i + 1 == degraded_day);
+      }
+    }
+  };
+  // Published on days 1 and 3; never published.
+  check("archive_walk", 0, {v4(192, 0, 3), v4(172, 16, 0)});
+  // On an archive whose day 3 is degraded.
+  check("archive_walk_degraded", 3, {v4(192, 0, 2)});
+}
+
+// replay_longitudinal adds days in walk order: days 4 and 5 are cached, so
+// they come first. LongitudinalStore::add must give the same store as
+// adding the days in order (every-day is "count == healthy days", degraded
+// days only add to a counter, and snapshot() sorts).
+TEST(StoreArchive, ReplayDoesNotDependOnWalkOrder) {
+  const auto dir = fresh_dir("archive_replay_order");
+  write_shared_days(dir, 5, /*degraded_day=*/2);
+  census::LongitudinalStore expected;
+  {
+    ArchiveReader in_order(dir, /*cache_capacity=*/5);
+    for (std::uint32_t day = 1; day <= 5; ++day) {
+      expected.add(*in_order.load_day(day));
+    }
+  }
+  ASSERT_EQ(expected.degraded_days(), 1u);
+  ASSERT_EQ(expected.anycast_based_stability().every_day, 1u);
+  // make_day's 4 own prefixes on each of 4 healthy days, and 192.0.3.0/24.
+  ASSERT_EQ(expected.intermittent_anycast_based().size(), 4u * 4u + 1u);
+
+  ArchiveReader reader(dir, /*cache_capacity=*/2);
+  reader.load_day(4);
+  reader.load_day(5);
+  std::vector<std::uint32_t> order;
+  reader.for_each_day([&order](std::size_t i, const census::DailyCensus& day) {
+    EXPECT_EQ(day.day, i + 1);
+    order.push_back(day.day);
+  });
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{4, 5, 1, 2, 3}));
+
+  reader.load_day(4);
+  reader.load_day(5);
+  const auto hits = reader.cache_hits();
+  const auto replayed = reader.replay_longitudinal();
+  EXPECT_EQ(reader.cache_hits() - hits, 2u);  // days 4 and 5, visited first
+  EXPECT_EQ(replayed.snapshot(), expected.snapshot());
+  EXPECT_EQ(replayed.anycast_based_stability(),
+            expected.anycast_based_stability());
+  EXPECT_EQ(replayed.gcd_stability(), expected.gcd_stability());
+  EXPECT_EQ(replayed.intermittent_gcd(), expected.intermittent_gcd());
+  EXPECT_EQ(replayed.check_invariants(), std::nullopt);
+}
+
+/// Starts `threads` threads together, each calling load(t), and joins them.
+template <typename Load>
+void load_together(int threads, Load load) {
+  std::latch start(threads);
+  std::vector<std::thread> pool;
+  for (int t = 0; t < threads; ++t) {
+    pool.emplace_back([&start, &load, t] {
+      start.arrive_and_wait();
+      load(t);
+    });
+  }
+  for (auto& thread : pool) thread.join();
+}
+
+// Threads that miss the same day at once share one decode: each call still
+// counts one miss or hit, every caller gets the same decoded day, and the
+// segment is decoded exactly once (at the parent each racing miss decoded
+// it again).
+TEST(StoreArchive, ConcurrentMissesOfOneDayDecodeItOnce) {
+  const auto dir = fresh_dir("archive_one_decode");
+  {
+    ArchiveWriter writer(dir);
+    writer.append(make_day(1, /*spread=*/250));
+  }
+  auto& decoded =
+      obs::Registry::global().counter("laces_store_segments_loaded_total");
+  constexpr int kThreads = 8;
+  for (int round = 0; round < 10; ++round) {
+    ArchiveReader reader(dir, /*cache_capacity=*/1);
+    const auto before = decoded.value();
+    std::vector<std::shared_ptr<const census::DailyCensus>> got(kThreads);
+    load_together(kThreads, [&](int t) { got[t] = reader.load_day(1); });
+    EXPECT_EQ(decoded.value() - before, 1u) << "round " << round;
+    EXPECT_EQ(reader.cache_hits() + reader.cache_misses(),
+              static_cast<std::uint64_t>(kThreads));
+    for (const auto& day : got) {
+      ASSERT_NE(day, nullptr);
+      EXPECT_EQ(day.get(), got[0].get());
+    }
+    EXPECT_EQ(got[0]->records.size(), 250u);
+  }
+}
+
+// A decode that fails fails every caller that waited on it, and is not
+// left pending: the next call decodes again and fails again.
+TEST(StoreArchive, ConcurrentMissesShareADecodeError) {
+  const auto dir = fresh_dir("archive_one_decode_corrupt");
+  {
+    ArchiveWriter writer(dir);
+    writer.append(make_day(1, /*spread=*/250));
+  }
+  const auto victim = dir / segment_file_name(1);
+  auto bytes = slurp(victim);
+  ASSERT_GT(bytes.size(), 50u);
+  bytes[40] ^= 0x01;
+  std::ofstream(victim, std::ios::binary | std::ios::trunc)
+      .write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
+
+  ArchiveReader reader(dir, /*cache_capacity=*/1);
+  constexpr int kThreads = 8;
+  load_together(kThreads, [&reader](int) {
+    EXPECT_THROW(reader.load_day(1), ArchiveError);
+  });
+  EXPECT_THROW(reader.load_day(1), ArchiveError);
+  EXPECT_EQ(reader.cache_misses(), static_cast<std::uint64_t>(kThreads) + 1);
 }
 
 TEST(StoreArchive, ExportCsvMatchesPublicationRender) {
